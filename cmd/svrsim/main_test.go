@@ -59,6 +59,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRemovedModeFlagsRejected: there is one execution path, so the
+// old -replay/-cohort mode switches are unknown flags everywhere.
+func TestRemovedModeFlagsRejected(t *testing.T) {
+	for _, cmd := range []string{"run", "bench"} {
+		for _, flag := range []string{"-replay=off", "-cohort=off"} {
+			var b strings.Builder
+			args := []string{flag}
+			if cmd == "run" {
+				args = []string{"table2", flag}
+			}
+			if err := dispatch(&b, cmd, args); err == nil {
+				t.Errorf("svrsim %s %s: accepted, want an unknown-flag error", cmd, flag)
+			}
+		}
+	}
+}
+
 func TestRunMissingArg(t *testing.T) {
 	var b strings.Builder
 	if err := dispatch(&b, "run", nil); err == nil {

@@ -268,7 +268,8 @@ func TestCohortStepDoesNotAllocate(t *testing.T) {
 // record (register write-back, flags, store apply on warm pages) and the
 // retire-point reads the engine makes — ReadMem on the private clone,
 // Reg, CmpFlags — must all be allocation-free, on both the ArchView
-// (cohort members) and the memory-bearing ReplaySource (solo replay).
+// (cohort members) and the memory-bearing ReplaySource
+// (stream.NewReplayWithMem).
 func TestArchViewDoesNotAllocate(t *testing.T) {
 	rec := benchRecording(t, 1<<15)
 	viewMem, srcMem := mem.New(), mem.New()

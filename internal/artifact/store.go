@@ -26,12 +26,11 @@ const (
 	Image      Class = "image"      // built workload memory images
 	Checkpoint Class = "checkpoint" // post-fast-forward machine checkpoints
 	Stream     Class = "stream"     // recorded instruction streams
-	Decoded    Class = "decoded"    // decoded SoA batches of stream chunks
 	Result     Class = "result"     // memoized cell results
 )
 
 // Classes lists every class in stable display order.
-func Classes() []Class { return []Class{Image, Checkpoint, Stream, Decoded, Result} }
+func Classes() []Class { return []Class{Image, Checkpoint, Stream, Result} }
 
 // Key addresses one artifact: its class plus a content hash (or any
 // canonical encoding of everything the artifact's bytes depend on).

@@ -14,8 +14,8 @@ import (
 
 // The HTTP/JSON surface of the scheduler: submit grids, stream per-cell
 // results as they finish (NDJSON or SSE), poll and list jobs, cancel and
-// resume. Served results go through exactly the same ExecuteCell path as
-// in-process runs, so a streamed cell is bit-identical to what `svrsim
+// resume. Served results go through exactly the same ExecuteCohort path
+// as in-process runs, so a streamed cell is bit-identical to what `svrsim
 // run` would print for the same grid.
 
 // SubmitRequest is the POST /api/jobs body. Configs are named

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -123,6 +124,39 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 	if resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{Configs: []string{"svr16"}, Preset: "huge"}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad preset: status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPRejectsUnregisteredCore: a Grid config naming a core kind no
+// machine is registered for is refused with a 400 at submit. Accepted,
+// it would panic the worker that builds it and take the server down;
+// the real executor runs here, so the follow-up job proves the server
+// still serves.
+func TestHTTPRejectsUnregisteredCore(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	bad := sim.MachineConfig(sim.InO)
+	bad.Core, bad.Label = 9, "kind9"
+	tiny := sim.Params{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 4_000}
+	resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
+		Grid: []sim.Config{bad}, Workloads: []string{"Randacc"}, Params: &tiny})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("core kind 9: status %d, want 400", resp.StatusCode)
+	}
+
+	st := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
+		Configs: []string{"inorder"}, Workloads: []string{"Randacc"}, Params: &tiny}))
+	job, ok := s.Job(st.ID)
+	if !ok {
+		t.Fatalf("follow-up job %q not found", st.ID)
+	}
+	job.Wait()
+	if got := decode[JobStatus](t, mustGet(t, srv.URL+"/api/jobs/"+st.ID)); got.State != StateDone {
+		t.Errorf("follow-up job after the refused one: %+v", got)
 	}
 }
 

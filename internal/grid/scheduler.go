@@ -1,7 +1,7 @@
 // Package grid is the multi-tenant service layer over the simulation
 // scheduler core: jobs (config × workload grids) enter a bounded
 // priority queue, expand into cells, and execute on a shared worker pool
-// through sim.ExecuteCell — so concurrent jobs deduplicate against each
+// through sim.ExecuteCohort — so concurrent jobs deduplicate against each
 // other via the unified artifact store (overlapping tenants share cell
 // results, checkpoints and recorded streams). The same scheduler backs
 // the in-process CLI subcommands (as the installed sim matrix runner)
@@ -30,8 +30,9 @@ type Options struct {
 	// QueueCap bounds the number of queued cells across all jobs
 	// (default 4096); Submit returns *ErrQueueFull past it.
 	QueueCap int
-	// Execute runs one cell (default sim.ExecuteCell; tests inject a
-	// stub to exercise scheduling without simulating).
+	// Execute, when injected without ExecuteGroup, runs one cell at a
+	// time (tests inject a stub to exercise per-cell scheduling without
+	// simulating).
 	Execute func(sim.CellRequest, *sim.Tracker) (sim.Result, sim.CellOutcome)
 	// ExecuteGroup runs one schedulable group — a timing cohort of
 	// sibling cells stepped in lockstep, or a single cell. Default
@@ -84,9 +85,6 @@ func New(opts Options) *Scheduler {
 		} else {
 			opts.ExecuteGroup = sim.ExecuteCohort
 		}
-	}
-	if opts.Execute == nil {
-		opts.Execute = sim.ExecuteCell
 	}
 	s := &Scheduler{
 		opts:  opts,
@@ -254,6 +252,9 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	}
 	seen := map[string]bool{}
 	for _, c := range req.Configs {
+		if err := sim.CheckConfig(c); err != nil {
+			return nil, err
+		}
 		if seen[c.Label] {
 			return nil, fmt.Errorf("grid: duplicate config label %q", c.Label)
 		}
@@ -281,7 +282,7 @@ func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []work
 		job.queued[i] = struct{}{}
 	}
 	job.mu.Unlock()
-	// Adjacent replay-eligible siblings queue as one lockstep cohort.
+	// Adjacent single-window siblings queue as one lockstep cohort.
 	if err := s.q.push(job, s.plan(job.cells, nil)); err != nil {
 		job.mu.Lock()
 		job.queued = map[int]struct{}{}

@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -291,5 +293,21 @@ func TestSaveLoadState(t *testing.T) {
 	// Missing file: nothing to restore, no error.
 	if n, err := s2.LoadState(path + ".missing"); err != nil || n != 0 {
 		t.Errorf("missing state file: n=%d err=%v", n, err)
+	}
+
+	// A state file naming an unregistered core kind is refused at
+	// restore, before anything reaches a worker.
+	bad := sim.MachineConfig(sim.InO)
+	bad.Core = 9
+	blob, err := json.Marshal(persistedState{Jobs: []persistedJob{{Name: "bad",
+		Configs: []sim.Config{bad}, Workloads: []string{"Randacc"}, Params: sim.QuickParams()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s2.LoadState(path); err == nil || n != 0 {
+		t.Errorf("state with core kind 9: n=%d err=%v, want a refusal", n, err)
 	}
 }

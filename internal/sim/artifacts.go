@@ -44,14 +44,6 @@ func streamKey(name string, sc workloads.Scale, ff, window uint64) artifact.Key 
 		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|n%d", name, sc.GraphNodes, sc.Elems, sc.Seed, ff, window)}
 }
 
-// decodedKey addresses one decoded SoA chunk of a stream recording: the
-// stream key plus the chunk index and the chunk width (so retuning the
-// width can never alias stale chunk geometry).
-func decodedKey(name string, sc workloads.Scale, ff, window uint64, chunk, width int) artifact.Key {
-	return artifact.Key{Class: artifact.Decoded,
-		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|n%d|c%d|w%d", name, sc.GraphNodes, sc.Elems, sc.Seed, ff, window, chunk, width)}
-}
-
 // resultKey addresses a memoized cell result by the cell's content hash.
 func resultKey(cfg Config, workload string, p Params) artifact.Key {
 	sum := hashCell(cfg, workload, p)

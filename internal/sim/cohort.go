@@ -10,82 +10,23 @@ import (
 	"repro/internal/workloads"
 )
 
-// Timing cohorts: the decode-once half of execute-once, time-many.
-// Replay-eligible sibling cells (same workload window, any registered
-// core kind) are grouped into cohorts that consume shared decoded SoA
-// batches instead of private ReplaySource cursors, stepped in lockstep
-// one chunk at a time so the batch plus the members' hot state stay
-// cache-resident. Members that read state own private companions
-// advanced row-by-row ahead of issue — IMP a memory clone, SVR a full
+// Timing cohorts: the one execution path of a single-window cell. Every
+// cell whose window is one warmup+measure stretch (Params.Regions <= 1)
+// is recorded once per workload window (cachedRecording) and stepped as
+// a member of a cohort: sibling cells of the same window — any
+// registered core kind, up to MaxCohortWidth of them — consume shared
+// decoded SoA chunks in lockstep, one chunk at a time, so the batch plus
+// the members' hot state stay cache-resident. A lone cell is a cohort of
+// width one. Members that read state own private companions advanced
+// row-by-row ahead of issue — IMP a memory clone, SVR a full
 // stream.ArchView — so the shared batch stays immutable. Results are
-// bit-identical to solo replay (and so to live execution): the batch
-// columns are filled by ReplaySource.Next itself and each member's
-// per-instruction issue order is unchanged — only the K-fold re-decode
-// of the same recording disappears.
-
-// CohortMode selects whether the scheduler groups eligible sibling
-// cells into decode-once timing cohorts.
-type CohortMode int
-
-// Cohort modes (the CLI's -cohort=on|off|auto).
-const (
-	// CohortAuto groups replay-eligible siblings into cohorts;
-	// everything else runs solo. Results are bit-identical either way,
-	// so this is the default.
-	CohortAuto CohortMode = iota
-	// CohortOn behaves like CohortAuto (eligibility still applies) but
-	// states the intent explicitly for audited runs.
-	CohortOn
-	// CohortOff disables grouping entirely: every cell runs solo.
-	CohortOff
-)
-
-// String returns the CLI spelling of the mode.
-func (m CohortMode) String() string {
-	switch m {
-	case CohortOn:
-		return "on"
-	case CohortOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseCohortMode parses the CLI spelling of a cohort mode.
-func ParseCohortMode(s string) (CohortMode, error) {
-	switch s {
-	case "auto", "":
-		return CohortAuto, nil
-	case "on":
-		return CohortOn, nil
-	case "off":
-		return CohortOff, nil
-	}
-	return CohortAuto, fmt.Errorf("unknown cohort mode %q (want on, off, or auto)", s)
-}
-
-var cohortCtl = struct {
-	sync.Mutex
-	mode CohortMode
-}{}
-
-// SetCohortMode switches the scheduler's cohort policy and returns the
-// previous mode.
-func SetCohortMode(m CohortMode) CohortMode {
-	cohortCtl.Lock()
-	defer cohortCtl.Unlock()
-	prev := cohortCtl.mode
-	cohortCtl.mode = m
-	return prev
-}
-
-// CurrentCohortMode reports the active cohort policy.
-func CurrentCohortMode() CohortMode {
-	cohortCtl.Lock()
-	defer cohortCtl.Unlock()
-	return cohortCtl.mode
-}
+// bit-identical to the live emulator (sim.Run, the test oracle): the
+// batch columns are filled by ReplaySource.Next itself and each
+// member's per-instruction issue order is unchanged.
+//
+// Multi-region cells are the exception: a recording cannot span the
+// fast-forward gaps between their detailed regions, so they stay
+// singleton groups that step a live emulator (simulateRegionCell).
 
 // cohortTotals is the process-lifetime cohort accounting (the tracker
 // fields reset per grid; bench and status deltas need cumulative
@@ -131,56 +72,15 @@ const MaxCohortWidth = 16
 // lookup. A variable so the boundary-straddling fuzz test can shrink it.
 var cohortChunkRows = 2048
 
-// decodedStoreCtl gates whether cohort chunks are published to the
-// artifact store's decoded class for cross-cohort reuse. Off by
-// default: a quick grid decodes ~65 B/instr of SoA columns — an order
-// of magnitude over the ~1.9 B/instr encoded recordings — so resident
-// chunks evict the recordings and checkpoints they were derived from
-// and the grid re-records more than it saves (measured: +42 recording
-// passes, +2.4s on the quick bench). Each cohort then decodes into a
-// private reused buffer: still exactly one decode per cohort.
-var decodedStoreCtl = struct {
-	sync.Mutex
-	on bool
-}{}
-
-// SetDecodedStoreEnabled toggles store-backed decoded-chunk sharing
-// across cohorts and returns the previous setting.
-func SetDecodedStoreEnabled(on bool) bool {
-	decodedStoreCtl.Lock()
-	defer decodedStoreCtl.Unlock()
-	prev := decodedStoreCtl.on
-	decodedStoreCtl.on = on
-	return prev
-}
-
-func decodedStoreEnabled() bool {
-	decodedStoreCtl.Lock()
-	defer decodedStoreCtl.Unlock()
-	return decodedStoreCtl.on
-}
-
-// cohortEligible reports whether a cell can join a decode-once cohort:
-// replay-eligible and an unsampled single window (the chunked lockstep
-// walk implements exactly the warmup → reset → measure sequence).
-// Every replay-eligible kind qualifies — stream-pure members step the
-// shared batch directly, and members that read memory or architectural
-// state (IMP, SVR) reconstruct a private stream.ArchView row by row
-// over the same shared decode.
-func cohortEligible(cfg Config, p Params) bool {
-	if CurrentCohortMode() == CohortOff {
-		return false
-	}
-	if !replayEligible(cfg, p) {
-		return false
-	}
-	return p.SampleEvery == 0
-}
+// singleWindow reports whether a cell's window is one warmup+measure
+// stretch — sampled or not, from the image start or from a shared
+// checkpoint — and so is served by one recording as a cohort member.
+func singleWindow(p Params) bool { return p.Regions <= 1 }
 
 // PlanCohorts groups the given cell indices (nil means all of cells)
-// into schedulable units: runs of cohort-eligible siblings — same
+// into schedulable units: runs of single-window siblings — same
 // workload, identical window — become one group of up to
-// MaxCohortWidth, everything else stays a group of one. Grouping only
+// MaxCohortWidth; multi-region cells stay groups of one. Grouping only
 // joins adjacent cells of the workload-major cell order, so scheduling
 // order and peak-memory behavior match the ungrouped plan.
 func PlanCohorts(cells []CellRequest, idx []int) [][]int {
@@ -200,7 +100,7 @@ func PlanCohorts(cells []CellRequest, idx []int) [][]int {
 	}
 	for _, i := range idx {
 		c := cells[i]
-		if !cohortEligible(c.Cfg, c.P) {
+		if !singleWindow(c.P) {
 			flush()
 			groups = append(groups, []int{i})
 			continue
@@ -217,19 +117,19 @@ func PlanCohorts(cells []CellRequest, idx []int) [][]int {
 	return groups
 }
 
-// ExecuteCohort resolves a group of sibling cells as one unit. Each
-// member resolves through the artifact store with the same hit / joined
-// / produced classification ExecuteCell reports; the members this
-// caller must produce run together in lockstep over shared decoded
-// batches. A single-member group degenerates to ExecuteCell.
+// ExecuteCohort is how every grid cell executes. It resolves one
+// PlanCohorts group — sibling cells of one window, or a lone
+// multi-region cell — as a unit. Each member resolves through the
+// artifact store: a resident result is a hit, an identical in-flight
+// cell is joined, and the members this caller must produce are
+// simulated together (runCohort), composing the shared image /
+// checkpoint / recording artifacts, and memoized. tr (nil-safe) feeds
+// the live status surfaces. Results are bit-identical however the cell
+// is served.
 func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 	n := len(reqs)
 	results := make([]Result, n)
 	outs := make([]CellOutcome, n)
-	if n == 1 {
-		results[0], outs[0] = ExecuteCell(reqs[0], tr)
-		return results, outs
-	}
 	start := time.Now()
 
 	// Split-phase store resolution: residents are done, claims are ours
@@ -264,7 +164,15 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 			idxs[k] = m.idx
 		}
 		runStart := time.Now()
-		runCohort(reqs, idxs, results, outs, tr)
+		if singleWindow(reqs[idxs[0]].P) {
+			runCohort(reqs, idxs, results, outs, tr)
+		} else {
+			for _, i := range idxs {
+				req := reqs[i]
+				pc := &phaseCtx{label: req.Cfg.Label, workload: req.Spec.Name, ph: &outs[i].Phases}
+				results[i] = simulateRegionCell(req, tr, &outs[i], pc)
+			}
+		}
 		share := time.Since(runStart) / time.Duration(len(claims))
 		for _, m := range claims {
 			m.t.Commit(results[m.idx], resultBytes(results[m.idx]))
@@ -295,7 +203,7 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 // runCohort simulates the claimed members in lockstep. All claims share
 // one workload window (PlanCohorts grouped them), so they consume the
 // same recording and the same decoded chunks, and hit their warmup →
-// reset boundary at the same row.
+// reset boundary and their sampling boundaries at the same row.
 func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOutcome, tr *Tracker) {
 	first := reqs[claims[0]]
 	spec, p := first.Spec, first.P
@@ -309,9 +217,6 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 
 	rec, so := cachedRecording(spec, first.Cfg, p, tr, pc)
 	machines := make([]Machine, len(claims))
-	steppers := make([]interface {
-		StepBatch(b *stream.DecodedBatch, lo, hi int)
-	}, len(claims))
 	for k, ci := range claims {
 		req := reqs[ci]
 		outs[ci].Replayed = true
@@ -320,49 +225,60 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 		if err != nil {
 			panic(err)
 		}
-		bs, ok := m.(interface {
-			StepBatch(b *stream.DecodedBatch, lo, hi int)
-		})
-		if !ok {
-			panic(fmt.Sprintf("sim: cohort-eligible machine kind %d lacks StepBatch", req.Cfg.Core))
-		}
-		machines[k], steppers[k] = m, bs
+		machines[k] = m
 	}
 	tr.phase(-1, +1)
 
 	// The lockstep walk implements simulateWindow exactly: each member
-	// issues warmup rows, resets its stats, issues measure rows, and
-	// collects — the chunking (and the split at the warmup boundary)
-	// changes where Step calls end, which is timing-invisible.
+	// issues warmup rows, resets its stats, issues measure rows — closing
+	// an interval row at every SampleEvery boundary when sampled — and
+	// collects. The chunking (and the splits at those boundaries)
+	// changes where batch steps end, which is timing-invisible.
 	src := stream.NewReplay(rec)
 	defer src.Recycle()
-	useStore := decodedStoreEnabled()
-	var local stream.DecodedBatch // reused across chunks when the store is bypassed
-	warmup, total := p.Warmup, p.Warmup+p.Measure
+	var b stream.DecodedBatch // reused across chunks
+	warmup, total, every := p.Warmup, p.Warmup+p.Measure, p.SampleEvery
 	var consumed uint64
 	resetDone := false
-	maybeReset := func() {
-		if !resetDone && consumed >= warmup {
-			for _, m := range machines {
-				m.ResetStats()
+	var samplers []*intervalSampler // sampled windows: one per member, opened at the reset
+	reset := func() {
+		for _, m := range machines {
+			m.ResetStats()
+		}
+		if every > 0 {
+			samplers = make([]*intervalSampler, len(machines))
+			for k, m := range machines {
+				samplers[k] = newIntervalSampler(m, every)
 			}
-			resetDone = true
+		}
+		resetDone = true
+	}
+	tick := func() {
+		for _, s := range samplers {
+			s.tick()
 		}
 	}
-	maybeReset() // folded-checkpoint windows have warmup 0
+	// next is the row count at which the walk pauses: the warmup
+	// boundary, then each sampling boundary, then the window end.
+	next := func() uint64 {
+		switch {
+		case !resetDone:
+			return warmup
+		case every > 0:
+			return warmup + ((consumed-warmup)/every+1)*every
+		}
+		return total
+	}
+	if warmup == 0 {
+		reset() // folded-checkpoint windows have no detailed warmup
+	}
 	// Decode and timing interleave chunk by chunk; accumulate each side
 	// across the loop and attribute once, so the journal sees one decode
 	// and one timing segment per cohort instead of one per chunk.
 	var decodeWall, timingWall time.Duration
-	for chunk := 0; consumed < total; chunk++ {
-		var b *stream.DecodedBatch
+	for consumed < total {
 		td := time.Now()
-		if useStore {
-			b = cohortChunk(spec, p, src, chunk, pc)
-		} else {
-			local.Fill(src, cohortChunkRows)
-			b = &local
-		}
+		b.Fill(src, cohortChunkRows)
 		decodeWall += time.Since(td)
 		if b.N == 0 {
 			break // recording ended early (program halt)
@@ -370,14 +286,19 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 		tt := time.Now()
 		for lo := 0; lo < b.N; {
 			hi := b.N
-			if !resetDone && consumed+uint64(hi-lo) > warmup {
-				hi = lo + int(warmup-consumed)
+			if stop := next(); consumed+uint64(hi-lo) > stop {
+				hi = lo + int(stop-consumed)
 			}
-			for _, s := range steppers {
-				s.StepBatch(b, lo, hi)
+			for _, m := range machines {
+				m.StepBatch(&b, lo, hi)
 			}
 			consumed += uint64(hi - lo)
-			maybeReset()
+			switch {
+			case !resetDone && consumed == warmup:
+				reset()
+			case resetDone && every > 0 && (consumed-warmup)%every == 0:
+				tick()
+			}
 			lo = hi
 		}
 		timingWall += time.Since(tt)
@@ -385,18 +306,21 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	pc.add(PhaseDecode, decodeWall)
 	pc.add(PhaseTiming, timingWall)
 	if !resetDone {
-		// The stream ended inside warmup; solo replay still resets and
-		// collects an empty window.
-		for _, m := range machines {
-			m.ResetStats()
-		}
+		// The stream ended inside warmup; the live driver still resets
+		// and collects an empty window.
+		reset()
 	}
+	tick() // the trailing partial interval, if anything issued in it
 
 	for k, ci := range claims {
 		res := machines[k].Collect()
+		if every > 0 {
+			res.Series = samplers[k].ts
+		}
 		if p.FastForward > 0 {
-			// Solo cells route through SimulateFrom → mergeRegions even
-			// for a single region; replicate for bit-identity.
+			// The live checkpointed driver routes through SimulateFrom →
+			// mergeRegions even for a single region; replicate for
+			// bit-identity.
 			res = mergeRegions([]Result{res}, p)
 		}
 		results[ci] = res
@@ -423,14 +347,12 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 }
 
 // newCohortMachine builds one cohort member positioned at the recording
-// start: newReplayMachine minus the source attachment (the member is
-// stepped over shared batches, never through a source). Stream-pure
-// members share the frozen master/checkpoint memory; members that read
-// memory or architectural state (IMP, SVR) get a private clone wrapped
-// in a stream.ArchView that StepBatch advances row by row.
+// start. Stream-pure members share the frozen master/checkpoint memory
+// (nothing in the member reads or writes it); members that read memory
+// or architectural state (IMP, SVR) get a private clone wrapped in a
+// stream.ArchView that StepBatch advances row by row.
 func newCohortMachine(cfg Config, spec workloads.Spec, p Params, rec *stream.Recording, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, error) {
-	needs := StreamNeedsOf(cfg.Core)
-	wantView := needs == StreamMemory || needs == StreamArch
+	wantView := StreamNeedsOf(cfg.Core) != StreamPure
 	var inst *workloads.Instance
 	var ck *Checkpoint
 	if p.FastForward > 0 {
@@ -464,26 +386,4 @@ func newCohortMachine(cfg Config, spec workloads.Spec, p Params, rec *stream.Rec
 		av.AttachArchView(stream.NewArchView(rec, inst.Mem))
 	}
 	return m, nil
-}
-
-// cohortChunk fetches (or decodes) chunk number chunk of the recording
-// behind src. Chunks live in the artifact store's decoded class, so
-// concurrent cohorts over the same window — and later grids — decode
-// each chunk exactly once while it stays resident. On a store hit the
-// batch's embedded decoder end state repositions src past the chunk, so
-// a hit skips the decode entirely.
-func cohortChunk(spec workloads.Spec, p Params, src *stream.ReplaySource, chunk int, pc *phaseCtx) *stream.DecodedBatch {
-	k := decodedKey(spec.Name, p.Scale, p.FastForward, p.Warmup+p.Measure, chunk, cohortChunkRows)
-	t0 := time.Now()
-	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
-		b := new(stream.DecodedBatch)
-		b.Fill(src, cohortChunkRows)
-		return b, b.Bytes()
-	})
-	pc.artifact(k, oc, time.Since(t0))
-	b := v.(*stream.DecodedBatch)
-	if oc.FromStore() {
-		src.SetState(b.End)
-	}
-	return b
 }

@@ -7,198 +7,35 @@ import (
 	"repro/internal/workloads"
 )
 
-// cohortTestConfigs returns distinct sibling configs spanning every
-// stream class — stream-pure (InO, OoO), memory-view (IMP), and
-// arch-view (SVR) — so a cohort has real claims to produce and every
-// per-member view kind is exercised in one lockstep walk. The first two
-// stay stream-pure for the chunk fuzzer. Identical configs would
-// collapse to one content key.
-func cohortTestConfigs() []Config {
-	a := MachineConfig(InO)
-	b := MachineConfig(OoO)
-	c := MachineConfig(InO)
-	c.Label = "InO-slowL2"
-	c.Hier.L2Latency += 4
-	d := MachineConfig(OoO)
-	d.Label = "OoO-slowL2"
-	d.Hier.L2Latency += 4
-	e := MachineConfig(IMP)
-	f := SVRConfig(16)
-	g := SVRConfig(64)
-	return []Config{a, b, c, d, e, f, g}
-}
-
-// soloReplay runs one cell through the solo replay path (exactly what
-// simulateCell does when replay-eligible), bypassing the result cache.
-func soloReplay(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
-	t.Helper()
-	recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-	var master *workloads.Instance
-	if p.FastForward == 0 {
-		master = cachedBuild(spec, p.Scale, nil)
-	}
-	m, _, err := newReplayMachine(cfg, spec, p, recd, master, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.FastForward > 0 {
-		return SimulateFrom(m, p)
-	}
-	return Simulate(m, p)
-}
-
-// runCohortCells executes the full config set as one cohort (result
-// memoization off, so every member is a claim and the lockstep walk
-// really runs) and returns the per-config results.
-func runCohortCells(t *testing.T, spec workloads.Spec, cfgs []Config, p Params) []Result {
-	t.Helper()
-	prevCache := SetRunCacheEnabled(false)
-	defer SetRunCacheEnabled(prevCache)
-	reqs := make([]CellRequest, len(cfgs))
-	for i, cfg := range cfgs {
-		if !cohortEligible(cfg, p) {
-			t.Fatalf("config %s is not cohort-eligible", cfg.Label)
-		}
-		reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: p}
-	}
-	results, outs := ExecuteCohort(reqs, nil)
-	for i, out := range outs {
-		if !out.Replayed {
-			t.Errorf("cohort member %s not marked Replayed", cfgs[i].Label)
-		}
-		if out.Cached || out.Shared {
-			t.Errorf("cohort member %s marked Cached/Shared on a cold run", cfgs[i].Label)
-		}
-	}
-	return results
-}
-
-// TestCohortMatchesSolo is the fidelity contract of decode-once timing
-// cohorts: for every registered core kind — stream-pure, memory-view,
-// and SVR's arch-view — plain and checkpointed, a cell stepped in
-// lockstep over shared decoded batches must produce a bit-identical
-// Result to the same cell replayed solo — and to the cell running its
-// emulator live.
-func TestCohortMatchesSolo(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := cohortTestConfigs()
-
-	t.Run("plain", func(t *testing.T) {
-		// Route this variant through the artifact store's decoded class so
-		// both chunk paths (store-shared and cohort-local) stay covered.
-		prevStore := SetDecodedStoreEnabled(true)
-		defer SetDecodedStoreEnabled(prevStore)
-		p := replayTestParams()
-		results := runCohortCells(t, spec, cfgs, p)
-		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s: cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
-					cfg.Label, results[i], solo)
-			}
-			live := Run(spec, cfg, p)
-			live.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], live) {
-				t.Errorf("%s: cohort Result differs from live:\ncohort %+v\nlive   %+v",
-					cfg.Label, results[i], live)
-			}
-		}
-	})
-
-	t.Run("checkpointed", func(t *testing.T) {
-		p := Params{
-			Scale:       workloads.TinyScale(),
-			FastForward: 20_000,
-			Warm:        true,
-			Measure:     60_000,
-		}
-		results := runCohortCells(t, spec, cfgs, p)
-		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s: cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
-					cfg.Label, results[i], solo)
-			}
-			ck, _ := cachedCheckpoint(spec, cfg, p, nil, nil)
-			liveM, err := NewMachineFrom(cfg, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := SimulateFrom(liveM, p)
-			live.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], live) {
-				t.Errorf("%s: cohort Result differs from live checkpointed:\ncohort %+v\nlive   %+v",
-					cfg.Label, results[i], live)
-			}
-		}
-	})
-}
-
-// TestWideCohortMatchesSolo pins the widened cohorts this layer exists
-// for: a single cohort of four SVR geometry variants (each with its own
-// replay-backed ArchState view over the one shared decode) must plan as
-// one width-4 group and produce bit-identical Results to solo replay.
-// Run under -race it also proves the per-member views never share
-// mutable state.
-func TestWideCohortMatchesSolo(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []Config{SVRConfig(8), SVRConfig(16), SVRConfig(32), SVRConfig(64)}
-	p := replayTestParams()
-
-	reqs := make([]CellRequest, len(cfgs))
-	for i, cfg := range cfgs {
-		reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: p}
-	}
-	groups := PlanCohorts(reqs, nil)
-	if len(groups) != 1 || len(groups[0]) != len(cfgs) {
-		t.Fatalf("PlanCohorts = %v, want one width-%d group", groups, len(cfgs))
-	}
-
-	results := runCohortCells(t, spec, cfgs, p)
-	for i, cfg := range cfgs {
-		solo := soloReplay(t, spec, cfg, p)
-		solo.Label = cfg.Label
-		if !reflect.DeepEqual(results[i], solo) {
-			t.Errorf("%s: wide cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
-				cfg.Label, results[i], solo)
-		}
-	}
-}
-
-// TestPlanCohorts pins the grouping rules: adjacent eligible siblings
-// merge up to MaxCohortWidth, ineligible cells stay solo and split
-// runs, and differing windows never share a cohort.
+// TestPlanCohorts pins the grouping rules: adjacent single-window
+// siblings merge up to MaxCohortWidth — sampled windows included —
+// multi-region cells stay solo and split runs, and differing windows
+// never share a cohort.
 func TestPlanCohorts(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := replayTestParams()
+	spec := mustSpec(t, "PR_KR")
+	p := testWindows()[0].p
 	ino, ooo, svr := MachineConfig(InO), MachineConfig(OoO), SVRConfig(16)
 	p2 := p
 	p2.Measure += 1
 	pSamp := p
 	pSamp.SampleEvery = 100
+	pRegions := p
+	pRegions.FastForward, pRegions.Warm, pRegions.Regions = 10_000, true, 2
 
 	cells := []CellRequest{
-		{Cfg: ino, Spec: spec, P: p},     // 0 ┐
-		{Cfg: ooo, Spec: spec, P: p},     // 1 │ cohort (SVR joins via ArchState)
-		{Cfg: svr, Spec: spec, P: p},     // 2 ┘
-		{Cfg: svr, Spec: spec, P: pSamp}, // 3 solo (sampled window)
-		{Cfg: ino, Spec: spec, P: p},     // 4 ┐ cohort
-		{Cfg: ooo, Spec: spec, P: p},     // 5 ┘
-		{Cfg: ino, Spec: spec, P: p2},    // 6 solo (different window)
+		{Cfg: ino, Spec: spec, P: p},        // 0 ┐
+		{Cfg: ooo, Spec: spec, P: p},        // 1 │ cohort (SVR joins via ArchView)
+		{Cfg: svr, Spec: spec, P: p},        // 2 ┘
+		{Cfg: svr, Spec: spec, P: pSamp},    // 3 ┐ cohort (sampled window)
+		{Cfg: ino, Spec: spec, P: pSamp},    // 4 ┘
+		{Cfg: ino, Spec: spec, P: pRegions}, // 5 solo (multi-region)
+		{Cfg: ooo, Spec: spec, P: pRegions}, // 6 solo (multi-region)
+		{Cfg: ino, Spec: spec, P: p},        // 7 ┐ cohort
+		{Cfg: ooo, Spec: spec, P: p},        // 8 ┘
+		{Cfg: ino, Spec: spec, P: p2},       // 9 solo (different window)
 	}
 	got := PlanCohorts(cells, nil)
-	want := [][]int{{0, 1, 2}, {3}, {4, 5}, {6}}
+	want := [][]int{{0, 1, 2}, {3, 4}, {5}, {6}, {7, 8}, {9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("PlanCohorts = %v, want %v", got, want)
 	}
@@ -214,55 +51,51 @@ func TestPlanCohorts(t *testing.T) {
 	}
 
 	// An explicit index subset groups only within the subset, in order.
-	got = PlanCohorts(cells, []int{1, 4, 6})
-	want = [][]int{{1, 4}, {6}}
+	got = PlanCohorts(cells, []int{1, 7, 9})
+	want = [][]int{{1, 7}, {9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("PlanCohorts(subset) = %v, want %v", got, want)
-	}
-
-	// Cohort-off mode degrades every group to a singleton.
-	prev := SetCohortMode(CohortOff)
-	defer SetCohortMode(prev)
-	got = PlanCohorts(cells, nil)
-	if len(got) != len(cells) {
-		t.Errorf("CohortOff produced %d groups, want %d singletons", len(got), len(cells))
 	}
 }
 
 // FuzzCohortChunks drives the lockstep walk across arbitrary chunk
-// sizes and warmup boundaries — chunks straddling the warmup → measure
-// reset, tiny chunks, chunks bigger than the window — and requires
-// bit-identical Results against solo replay every time.
+// sizes, warmup boundaries and sampling intervals — chunks straddling
+// the warmup → measure reset and the interval boundaries, tiny chunks,
+// chunks bigger than the window, windows past program end — and
+// requires bit-identical Results against the live oracle every time.
 func FuzzCohortChunks(f *testing.F) {
 	spec, err := workloads.Get("Randacc")
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfgs := cohortTestConfigs()[:2]
-	f.Add(uint16(1000), uint16(3000), uint16(512))
-	f.Add(uint16(0), uint16(5000), uint16(1))     // no warmup, single-row chunks
-	f.Add(uint16(4096), uint16(4096), uint16(3))  // boundary not a chunk multiple
-	f.Add(uint16(7), uint16(60000), uint16(4096)) // window inside one chunk
-	f.Fuzz(func(t *testing.T, warmup, measure, chunk uint16) {
+	cfgs := []Config{MachineConfig(InO), MachineConfig(OoO), MachineConfig(IMP), SVRConfig(16)}
+	f.Add(uint16(1000), uint16(3000), uint16(512), uint16(0))
+	f.Add(uint16(0), uint16(5000), uint16(1), uint16(700))      // no warmup, single-row chunks
+	f.Add(uint16(4096), uint16(4096), uint16(3), uint16(1024))  // boundaries not chunk multiples
+	f.Add(uint16(7), uint16(60000), uint16(4096), uint16(5000)) // window inside one chunk, halts mid-interval
+	f.Fuzz(func(t *testing.T, warmup, measure, chunk, sample uint16) {
 		if measure == 0 {
 			measure = 1
 		}
 		p := Params{
-			Scale:   workloads.TinyScale(),
-			Warmup:  uint64(warmup),
-			Measure: uint64(measure),
+			Scale:       workloads.TinyScale(),
+			Warmup:      uint64(warmup),
+			Measure:     uint64(measure),
+			SampleEvery: uint64(sample),
 		}
 		prevChunk := cohortChunkRows
 		cohortChunkRows = int(chunk%4096) + 1
 		defer func() { cohortChunkRows = prevChunk }()
 
-		results := runCohortCells(t, spec, cfgs, p)
+		reqs := make([]CellRequest, len(cfgs))
 		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s (warmup=%d measure=%d chunk=%d): cohort differs from solo replay",
-					cfg.Label, warmup, measure, cohortChunkRows)
+			reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: p}
+		}
+		results := executeCold(t, reqs)
+		for i, cfg := range cfgs {
+			if live := Run(spec, cfg, p); !reflect.DeepEqual(results[i], live) {
+				t.Errorf("%s (warmup=%d measure=%d chunk=%d sample=%d): cohort differs from live",
+					cfg.Label, warmup, measure, cohortChunkRows, sample)
 			}
 		}
 	})

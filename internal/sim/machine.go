@@ -60,19 +60,17 @@ type Machine interface {
 	// must be freshly built over a clone of the checkpointed memory;
 	// NewMachineFrom does both.
 	Restore(ck *Checkpoint)
-	// SetSource replaces the machine's instruction feed with src — the
-	// execute-once, time-many hook: the scheduler attaches a
-	// stream.ReplaySource decoded from a shared recording instead of the
-	// default live emulator. Only valid before any stepping. Machines
-	// whose companion reads architectural state (SVR) require a source
-	// that is also a stream.ArchState with a memory image attached, and
-	// repoint the companion at it; they panic on a bare source.
-	SetSource(src stream.InstrSource)
+	// StepBatch issues rows [lo, hi) of a shared decoded batch instead
+	// of stepping the machine's own emulator — the cohort driver's
+	// lockstep entry point. Kinds whose companion reads memory or
+	// architectural state must have a stream.ArchView attached first
+	// (newCohortMachine does it).
+	StepBatch(b *stream.DecodedBatch, lo, hi int)
 }
 
 // StreamNeeds classifies what a core kind requires of its instruction
-// stream, which decides how (and whether) the scheduler can replay a
-// shared recording into its cells.
+// stream, which decides what private state a cohort member needs beside
+// the shared decoded batches.
 type StreamNeeds int
 
 // Stream requirement classes.
@@ -89,11 +87,6 @@ const (
 	// the full stream.ArchState view — the decoder's tracked register
 	// file plus a private lockstep memory image.
 	StreamArch
-	// StreamLive consumers feed timing back into the functional path:
-	// the cell must run live and the scheduler falls back to a
-	// LiveSource transparently. No registered kind needs this anymore;
-	// it remains the safe fallback for unregistered kinds.
-	StreamLive
 )
 
 // MachineFactory builds a machine of one kind over a pre-built hierarchy.
@@ -115,13 +108,17 @@ func RegisterMachine(kind CoreKind, f MachineFactory, needs StreamNeeds) {
 	machineFactories[kind] = machineEntry{factory: f, needs: needs}
 }
 
-// StreamNeedsOf reports the stream requirement of a core kind.
-// Unregistered kinds report StreamLive — the safe fallback.
-func StreamNeedsOf(kind CoreKind) StreamNeeds {
-	if e, ok := machineFactories[kind]; ok {
-		return e.needs
-	}
-	return StreamLive
+// StreamNeedsOf reports the stream requirement of a registered core
+// kind.
+func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].needs }
+
+// CheckConfig reports an error unless a machine of cfg's core kind is
+// registered. Configurations from outside the process (served job
+// bodies, the queue-state file) are checked before they are queued, so
+// a bad kind is refused at the door instead of failing a worker.
+func CheckConfig(cfg Config) error {
+	_, err := factoryFor(cfg)
+	return err
 }
 
 func init() {
@@ -200,7 +197,7 @@ type inOrderMachine struct {
 	inst   *workloads.Instance
 	h      *cache.Hierarchy
 	cpu    *emu.CPU
-	src    stream.InstrSource // the core's instruction feed: live CPU by default, replay when attached
+	src    stream.InstrSource // the core's live instruction feed (Step)
 	core   *inorder.Core
 	eng    *svr.Engine      // non-nil only for SVR
 	view   *stream.ArchView // cohort-member arch view advanced during StepBatch, else nil
@@ -251,19 +248,6 @@ func (m *inOrderMachine) AttachArchView(v *stream.ArchView) {
 	}
 }
 
-func (m *inOrderMachine) SetSource(src stream.InstrSource) {
-	if m.eng != nil {
-		// The engine scavenges architectural state, so the feed must
-		// also serve as the engine's view (a ReplaySource with a memory
-		// image attached).
-		as, ok := src.(stream.ArchState)
-		if !ok {
-			panic("sim: SVR machines need an ArchState-bearing source")
-		}
-		m.eng.Arch = as
-	}
-	m.src = src
-}
 func (m *inOrderMachine) Instrs() uint64 { return m.core.Instrs }
 func (m *inOrderMachine) Now() int64     { return m.core.Now() }
 
@@ -294,7 +278,7 @@ type oooMachine struct {
 	inst   *workloads.Instance
 	h      *cache.Hierarchy
 	cpu    *emu.CPU
-	src    stream.InstrSource // live CPU by default, replay when attached
+	src    stream.InstrSource // the core's live instruction feed (Step)
 	core   *ooo.Core
 	warmed bool // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
 }
@@ -317,9 +301,8 @@ func (m *oooMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
 // in-order machine's StepBatch).
 func (m *oooMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) { m.core.RunBatch(b, lo, hi) }
 
-func (m *oooMachine) SetSource(src stream.InstrSource) { m.src = src }
-func (m *oooMachine) Instrs() uint64                   { return m.core.Instrs }
-func (m *oooMachine) Now() int64                       { return m.core.Now() }
+func (m *oooMachine) Instrs() uint64 { return m.core.Instrs }
+func (m *oooMachine) Now() int64     { return m.core.Now() }
 
 func (m *oooMachine) Registry() *metrics.Registry { return m.h.Reg }
 func (m *oooMachine) ResetStats()                 { m.h.Reg.Reset() }

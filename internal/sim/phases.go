@@ -37,9 +37,8 @@ const (
 	PhaseFastForward
 	// PhaseRecord: producing a shared instruction-stream recording.
 	PhaseRecord
-	// PhaseDecode: decoding recorded streams into SoA batches on the
-	// cohort path (solo replay decodes inside the timing loop and
-	// reports it as PhaseTiming).
+	// PhaseDecode: decoding recorded streams into the SoA batches a
+	// cohort steps over.
 	PhaseDecode
 	// PhaseTiming: stepping timing models over the measurement window.
 	PhaseTiming

@@ -158,7 +158,8 @@ func TestCellPhasesCoverWall(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
 	req := CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "Randacc"), P: QuickParams()}
-	_, out := ExecuteCell(req, nil)
+	_, outs := ExecuteCohort([]CellRequest{req}, nil)
+	out := outs[0]
 	if out.Cached || out.Shared {
 		t.Fatalf("expected a fresh simulation, got %+v", out)
 	}

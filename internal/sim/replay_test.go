@@ -1,136 +1,142 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/workloads"
 )
 
-func replayTestParams() Params {
-	return Params{Scale: workloads.TinyScale(), Warmup: 20_000, Measure: 60_000}
+// kindVariants returns four distinct configurations of one core kind —
+// SVR at four vector lengths, the others at four L2 latencies — so a
+// cohort of them has four real claims to produce (identical configs
+// would share one content key).
+func kindVariants(kind CoreKind) []Config {
+	if kind == SVR {
+		return []Config{SVRConfig(8), SVRConfig(16), SVRConfig(32), SVRConfig(64)}
+	}
+	var out []Config
+	for i := 0; i < 4; i++ {
+		cfg := MachineConfig(kind)
+		if i > 0 {
+			cfg.Hier.L2Latency += int64(2 * i)
+			cfg.Label = fmt.Sprintf("%s-L2+%d", cfg.Label, 2*i)
+		}
+		out = append(out, cfg)
+	}
+	return out
 }
 
-// TestReplayMatchesLive is the fidelity contract of execute-once,
-// time-many: for every core kind — including SVR, whose engine reads
-// architectural state through the replay-backed ArchState view — a cell
-// fed by a ReplaySource must produce a bit-identical Result to the same
-// cell running its emulator live.
+// executeCold runs reqs as one ExecuteCohort group with result
+// memoization off, so every member is a claim and the lockstep walk
+// really runs, and checks the outcome provenance of a cold run.
+func executeCold(t *testing.T, reqs []CellRequest) []Result {
+	t.Helper()
+	prev := SetRunCacheEnabled(false)
+	defer SetRunCacheEnabled(prev)
+	results, outs := ExecuteCohort(reqs, nil)
+	for i, out := range outs {
+		if out.Replayed != singleWindow(reqs[i].P) {
+			t.Errorf("%s: Replayed=%v for Regions=%d", reqs[i].Cfg.Label, out.Replayed, reqs[i].P.Regions)
+		}
+		if out.Cached || out.Shared {
+			t.Errorf("%s: marked Cached/Shared on a cold run", reqs[i].Cfg.Label)
+		}
+	}
+	return results
+}
+
+// checkAgainstOracle is the fidelity contract of the one execution
+// path: for every configuration of a core kind, on every given window
+// and workload, the cell served as a lone cohort member (width 1) and as
+// a member of a width-4 cohort must produce a Result bit-identical to
+// the live emulator (sim.Run: the uncheckpointed, unrecorded driver).
+// Run under -race it also proves the members' private views never share
+// mutable state.
+func checkAgainstOracle(t *testing.T, kind CoreKind, windows []testWindow) {
+	cfgs := kindVariants(kind)
+	for _, name := range []string{"PR_KR", "NAS-IS"} {
+		spec := mustSpec(t, name)
+		for _, w := range windows {
+			t.Run(w.name+"/"+name, func(t *testing.T) {
+				reqs := make([]CellRequest, len(cfgs))
+				oracle := make([]Result, len(cfgs))
+				for i, cfg := range cfgs {
+					reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: w.p}
+					oracle[i] = Run(spec, cfg, w.p)
+				}
+				if groups := PlanCohorts(reqs, nil); len(groups) != 1 {
+					t.Fatalf("PlanCohorts = %v, want one width-%d group", groups, len(cfgs))
+				}
+				wide := executeCold(t, reqs)
+				for i, cfg := range cfgs {
+					lone := executeCold(t, reqs[i:i+1])[0]
+					if !reflect.DeepEqual(lone, oracle[i]) {
+						t.Errorf("%s: width-1 Result differs from live:\ngot  %+v\nlive %+v", cfg.Label, lone, oracle[i])
+					}
+					if !reflect.DeepEqual(wide[i], oracle[i]) {
+						t.Errorf("%s: width-%d Result differs from live:\ngot  %+v\nlive %+v", cfg.Label, len(cfgs), wide[i], oracle[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+var allKinds = []CoreKind{InO, IMP, OoO, SVR}
+
+// TestReplayMatchesLive checks every core kind against the live oracle
+// on the windows that start at the image start (plain and sampled);
+// TestReplayMatchesLiveCheckpointed covers the windows resumed from a
+// shared warmed checkpoint. Together they run every testWindows case.
 func TestReplayMatchesLive(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := replayTestParams()
-	for _, kind := range []CoreKind{InO, IMP, OoO, SVR} {
+	ws := testWindows()
+	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := MachineConfig(kind)
-			live := Run(spec, cfg, p)
-
-			if !replayEligible(cfg, p) {
-				t.Fatal("kind not replay-eligible")
-			}
-			recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-			if recd.N != p.Warmup+p.Measure {
-				t.Fatalf("recording has %d records, want %d", recd.N, p.Warmup+p.Measure)
-			}
-			m, _, err := newReplayMachine(cfg, spec, p, recd, cachedBuild(spec, p.Scale, nil), nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := Simulate(m, p)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("replay Result differs from live:\nlive %+v\nreplay %+v", live, rep)
-			}
+			checkAgainstOracle(t, kind, []testWindow{ws[0], ws[2]})
 		})
 	}
 }
 
-// TestReplayMatchesLiveCheckpointed covers the composed path the bench
-// uses: record from the post-fast-forward point of a functionally-warmed
-// shared checkpoint, replay into cells restored from the same
-// checkpoint, and require bit-identical Results against the live
-// checkpointed path.
+// TestReplayMatchesLiveCheckpointed is TestReplayMatchesLive for the
+// checkpointed windows: the recording starts at the post-fast-forward
+// point and the oracle runs the fast-forward itself, unshared.
 func TestReplayMatchesLiveCheckpointed(t *testing.T) {
-	spec, err := workloads.Get("Randacc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{
-		Scale:       workloads.TinyScale(),
-		FastForward: 20_000,
-		Warm:        true,
-		Measure:     60_000,
-	}
-	for _, kind := range []CoreKind{InO, IMP, OoO, SVR} {
+	ws := testWindows()
+	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := MachineConfig(kind)
-
-			ck, _ := cachedCheckpoint(spec, cfg, p, nil, nil)
-			liveM, err := NewMachineFrom(cfg, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := SimulateFrom(liveM, p)
-
-			recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-			repM, _, err := newReplayMachine(cfg, spec, p, recd, nil, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := SimulateFrom(repM, p)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("replay Result differs from live:\nlive %+v\nreplay %+v", live, rep)
-			}
+			checkAgainstOracle(t, kind, []testWindow{ws[1], ws[3]})
 		})
 	}
 }
 
-// TestMatrixReplayMatchesLive runs a small grid cold with replay off and
-// again with replay on, asserting every cell Result is bit-identical and
-// the scheduler accounted the replay/live split correctly (every
-// registered kind, SVR included, is served from the recording).
+// TestMatrixReplayMatchesLive runs a small mixed-kind grid cold through
+// the matrix runner: every cell must be served from a recording as a
+// cohort member — SVR included — the scheduler must account for that,
+// and every Result must match the live oracle.
 func TestMatrixReplayMatchesLive(t *testing.T) {
 	prevCache := SetRunCacheEnabled(false)
 	defer SetRunCacheEnabled(prevCache)
-	prevMode := SetReplayMode(ReplayOff)
-	defer SetReplayMode(prevMode)
 
-	var specs []workloads.Spec
-	for _, name := range []string{"PR_KR", "Randacc"} {
-		spec, err := workloads.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, spec)
-	}
-	cfgs := []Config{
-		MachineConfig(InO), MachineConfig(IMP), MachineConfig(OoO), SVRConfig(16),
-	}
-	p := replayTestParams()
+	specs := []workloads.Spec{mustSpec(t, "PR_KR"), mustSpec(t, "Randacc")}
+	cfgs := []Config{MachineConfig(InO), MachineConfig(IMP), MachineConfig(OoO), SVRConfig(16)}
+	p := testWindows()[0].p
 
-	liveRS := runMatrix(cfgs, specs, p)
-	SetReplayMode(ReplayOn)
-	repRS := runMatrix(cfgs, specs, p)
-
-	if want := len(cfgs) * len(specs); repRS.Stats.Replayed != want {
-		t.Errorf("replayed %d cells, want %d", repRS.Stats.Replayed, want)
+	rs := runMatrix(cfgs, specs, p)
+	if want := len(cfgs) * len(specs); rs.Stats.Replayed != want {
+		t.Errorf("replayed %d cells, want %d", rs.Stats.Replayed, want)
 	}
-	if liveRS.Stats.Replayed != 0 {
-		t.Errorf("replay-off run replayed %d cells", liveRS.Stats.Replayed)
-	}
-	for _, c := range repRS.Cells {
+	for _, c := range rs.Cells {
 		if !c.Replayed {
 			t.Errorf("cell %s/%s: Replayed=false, want true", c.Label, c.Workload)
 		}
 	}
 	for _, cfg := range cfgs {
 		for _, spec := range specs {
-			live, _ := liveRS.Get(cfg.Label, spec.Name)
-			rep, _ := repRS.Get(cfg.Label, spec.Name)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("cell %s/%s differs between replay-off and replay-on runs",
-					cfg.Label, spec.Name)
+			got, _ := rs.Get(cfg.Label, spec.Name)
+			if live := Run(spec, cfg, p); !reflect.DeepEqual(got, live) {
+				t.Errorf("cell %s/%s differs from the live oracle", cfg.Label, spec.Name)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/workloads"
 )
 
@@ -279,8 +278,6 @@ type GridStatus struct {
 	CohortCells   int           // cells those cohorts produced (occupancy = CohortCells/Cohorts)
 	Instrs        uint64        // instructions simulated by finished cells
 	StreamBytes   int64         // encoded stream bytes produced so far (process-wide)
-	DecodedHits   int64         // decoded-batch store hits (process-wide)
-	DecodedMade   int64         // decoded batches produced (process-wide)
 	Elapsed       time.Duration // since the earliest open grid started
 	CkptWall      time.Duration // wall time spent producing checkpoints so far
 	RecWall       time.Duration // wall time spent producing recordings so far
@@ -366,8 +363,6 @@ func CurrentStatus() GridStatus {
 // per-tracker and aggregate snapshots.
 func finishStatus(s *GridStatus, win rateWindow, now time.Time) {
 	s.StreamBytes = RecordingStats().Bytes
-	dec := artifacts.Stats()[artifact.Decoded]
-	s.DecodedHits, s.DecodedMade = dec.Hits, dec.Produced
 	s.Queued = s.Cells - s.Done - s.Building - s.Checkpointing - s.Recording - s.Running
 	if s.Queued < 0 {
 		s.Queued = 0

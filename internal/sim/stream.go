@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -11,94 +10,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// This file is the scheduler side of execute-once, time-many: one
+// This file is the recording side of execute-once, time-many: one
 // functional recording pass per workload window (cachedRecording, under
-// the same build-cache/singleflight machinery as the shared
-// checkpoints), fanned out to every replay-eligible sibling cell
-// (newReplayMachine). Core kinds declare their stream requirement at
-// registration (StreamNeeds); SVR cells consume the recording through a
-// replay-backed architectural-state view (stream.ArchState).
-
-// ReplayMode selects how the scheduler feeds instruction streams to
-// grid cells.
-type ReplayMode int
-
-// Replay modes (the CLI's -replay=on|off|auto).
-const (
-	// ReplayAuto records once per workload and replays into every
-	// eligible cell; ineligible cells (multi-region windows) run live.
-	// Results are bit-identical either way, so this is the default.
-	ReplayAuto ReplayMode = iota
-	// ReplayOn behaves like ReplayAuto (eligibility still applies) but
-	// states the intent explicitly; surfaces report the replay/live
-	// split so a forced run can be audited.
-	ReplayOn
-	// ReplayOff disables recording and replay entirely: every cell runs
-	// the emulator in lockstep, as before this layer existed.
-	ReplayOff
-)
-
-// String returns the CLI spelling of the mode.
-func (m ReplayMode) String() string {
-	switch m {
-	case ReplayOn:
-		return "on"
-	case ReplayOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseReplayMode parses the CLI spelling of a replay mode.
-func ParseReplayMode(s string) (ReplayMode, error) {
-	switch s {
-	case "auto", "":
-		return ReplayAuto, nil
-	case "on":
-		return ReplayOn, nil
-	case "off":
-		return ReplayOff, nil
-	}
-	return ReplayAuto, fmt.Errorf("unknown replay mode %q (want on, off, or auto)", s)
-}
-
-var replayCtl = struct {
-	sync.Mutex
-	mode ReplayMode
-}{}
-
-// SetReplayMode switches the scheduler's stream policy and returns the
-// previous mode.
-func SetReplayMode(m ReplayMode) ReplayMode {
-	replayCtl.Lock()
-	defer replayCtl.Unlock()
-	prev := replayCtl.mode
-	replayCtl.mode = m
-	return prev
-}
-
-// CurrentReplayMode reports the active stream policy.
-func CurrentReplayMode() ReplayMode {
-	replayCtl.Lock()
-	defer replayCtl.Unlock()
-	return replayCtl.mode
-}
-
-// replayEligible reports whether a cell of this configuration and window
-// can consume a recorded stream instead of running the emulator live.
-// Multi-region windows are excluded: their streams would have to span
-// every fast-forward gap, which defeats the compact single-window
-// recording (and PaperParams regions are exactly the huge case).
-func replayEligible(cfg Config, p Params) bool {
-	if CurrentReplayMode() == ReplayOff {
-		return false
-	}
-	if StreamNeedsOf(cfg.Core) == StreamLive {
-		return false
-	}
-	return p.Regions <= 1
-}
+// the same singleflight artifact store as the shared checkpoints),
+// stepped by every single-window cell of that window as a cohort member
+// (cohort.go).
 
 // streamStats aggregates recording-pass production counters for the
 // bench and status surfaces.
@@ -184,57 +100,4 @@ func cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc 
 	}
 	pc.artifact(k, oc, time.Since(callStart))
 	return v.(*stream.Recording), oc
-}
-
-// newReplayMachine builds a machine of cfg fed by the shared recording
-// instead of a live emulator. Stream-pure kinds (InO, OoO) share the
-// frozen master/checkpoint memory without cloning — nothing in the cell
-// reads or writes data memory. StreamMemory (IMP) and StreamArch (SVR)
-// kinds get a private clone that the replay source keeps in lockstep by
-// applying decoded stores, so ahead-of-stream dereferences — and the
-// SVR engine's retire-point reads through the source's ArchState view —
-// see exactly the bytes a live run would have shown. out (nil-safe) is
-// annotated with whether the checkpoint came from the store. The
-// attached source is also returned so the caller can Recycle its decode
-// scratch once the cell finishes.
-func newReplayMachine(cfg Config, spec workloads.Spec, p Params,
-	rec *stream.Recording, master *workloads.Instance,
-	out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, *stream.ReplaySource, error) {
-	needs := StreamNeedsOf(cfg.Core)
-	wantMem := needs == StreamMemory || needs == StreamArch
-	var inst *workloads.Instance
-	var ck *Checkpoint
-	if p.FastForward > 0 {
-		var co artifact.Outcome
-		ck, co = cachedCheckpoint(spec, cfg, p, tr, pc)
-		if out != nil {
-			out.CkptFromStore = co.FromStore()
-		}
-		inst = &workloads.Instance{
-			Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check,
-		}
-		if wantMem {
-			inst.Mem = ck.mem.Clone()
-		}
-	} else {
-		inst = master
-		if wantMem {
-			inst = cloneInstance(master)
-		}
-	}
-	m, err := NewMachine(cfg, inst)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ck != nil {
-		m.Restore(ck)
-	}
-	var src *stream.ReplaySource
-	if wantMem {
-		src = stream.NewReplayWithMem(rec, inst.Mem)
-	} else {
-		src = stream.NewReplay(rec)
-	}
-	m.SetSource(src)
-	return m, src, nil
 }

@@ -102,32 +102,60 @@ func stackDelta(cur, prev stats.CPIStack) stats.CPIStack {
 func simulateSampled(m Machine, p Params) Result {
 	m.Step(p.Warmup)
 	m.ResetStats()
-	base := m.Now()
-	sampler := metrics.NewSampler(m.Registry())
-	ts := &TimeSeries{Interval: p.SampleEvery, Columns: seriesColumns()}
-	prevStack := m.Stack()
-	var prevInstr uint64
-	var prevCyc int64
+	s := newIntervalSampler(m, p.SampleEvery)
 	alive := true
-	for alive && prevInstr < p.Measure {
+	for alive && s.prevInstr < p.Measure {
 		n := p.SampleEvery
-		if rem := p.Measure - prevInstr; rem < n {
+		if rem := p.Measure - s.prevInstr; rem < n {
 			n = rem
 		}
 		alive = m.Step(n)
-		instr, cyc := m.Instrs(), m.Now()-base
-		if instr == prevInstr {
+		if !s.tick() {
 			break // program ended inside the chunk with nothing issued
 		}
-		sample := sampler.Tick(instr, cyc)
-		stack := m.Stack()
-		ts.Rows = append(ts.Rows, seriesRow(sample.Delta, stackDelta(stack, prevStack),
-			instr-prevInstr, cyc-prevCyc, instr, cyc))
-		prevStack, prevInstr, prevCyc = stack, instr, cyc
 	}
 	res := m.Collect()
-	res.Series = ts
+	res.Series = s.ts
 	return res
+}
+
+// intervalSampler is the interval bookkeeping of one sampled window,
+// shared by the live driver (simulateSampled) and the cohort walk: it
+// is opened right after the warmup reset and ticked at every interval
+// boundary, each tick closing one TimeSeries row.
+type intervalSampler struct {
+	m         Machine
+	base      int64 // cycle of the warmup reset
+	sampler   *metrics.Sampler
+	ts        *TimeSeries
+	prevStack stats.CPIStack
+	prevInstr uint64
+	prevCyc   int64
+}
+
+func newIntervalSampler(m Machine, every uint64) *intervalSampler {
+	return &intervalSampler{
+		m:         m,
+		base:      m.Now(),
+		sampler:   metrics.NewSampler(m.Registry()),
+		ts:        &TimeSeries{Interval: every, Columns: seriesColumns()},
+		prevStack: m.Stack(),
+	}
+}
+
+// tick closes the interval ending at the machine's current position. It
+// reports false, adding no row, when nothing issued since the last tick.
+func (s *intervalSampler) tick() bool {
+	instr, cyc := s.m.Instrs(), s.m.Now()-s.base
+	if instr == s.prevInstr {
+		return false
+	}
+	sample := s.sampler.Tick(instr, cyc)
+	stack := s.m.Stack()
+	s.ts.Rows = append(s.ts.Rows, seriesRow(sample.Delta, stackDelta(stack, s.prevStack),
+		instr-s.prevInstr, cyc-s.prevCyc, instr, cyc))
+	s.prevStack, s.prevInstr, s.prevCyc = stack, instr, cyc
+	return true
 }
 
 // WriteCSVHeader writes the column-name line, with optional fixed columns

@@ -7,10 +7,9 @@ import (
 )
 
 // ArchView is the replay-backed ArchState of one decode-once cohort
-// member: a private register file, compare flags and memory image. A
-// solo replayed cell observes architectural state through its own
-// ReplaySource, but cohort members share one decoder — so each member
-// reconstructs its view row by row from the shared batch columns
+// member: a private register file, compare flags and memory image.
+// Cohort members share one decoder — so each member reconstructs its
+// view row by row from the shared batch columns
 // (Advance, called before the row issues), applying exactly the
 // write-back, flag and store rules the decoder itself runs. The view is
 // therefore bit-identical to a lockstep emulator's post-Step state at
