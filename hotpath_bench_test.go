@@ -1,7 +1,8 @@
 package repro
 
 // Micro-benchmarks and allocation guards for the simulator's hot path:
-// the emulator step loop, the radix-table memory, and the L1 fast path.
+// the emulator step loop, the radix-table memory, and the L1 fast path,
+// plus the input-building layer (graph generation and image layout).
 // The AllocsPerRun tests are regression guards — the step and L1-hit
 // paths are allocation-free by construction, and any future allocation
 // there costs throughput on every simulated instruction.
@@ -12,9 +13,12 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/emu"
+	"repro/internal/graphs"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/stream"
+	"repro/internal/workloads"
 )
 
 // stepProg is a tiny endless kernel exercising the emulator's ALU, load,
@@ -315,5 +319,57 @@ func TestMemReadWriteDoesNotAllocate(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("mem.Read/Write allocates %.1f objects per access on warm pages", allocs)
+	}
+}
+
+// BenchmarkGraphBuild generates each graph input afresh at quick scale
+// (the memoized graphs.Build would serve every iteration after the
+// first from its cache).
+func BenchmarkGraphBuild(b *testing.B) {
+	sc := sim.QuickParams().Scale
+	for _, in := range []graphs.Input{graphs.KR, graphs.UR, graphs.LJN, graphs.TW, graphs.ORK} {
+		b.Run(string(in), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				graphs.Generate(in, sc.GraphNodes, sc.Seed)
+			}
+		})
+	}
+}
+
+// BenchmarkImageLoad lays out BFS_KR's quick-scale image — CSR arrays
+// and per-vertex state — from an already generated (memoized) graph.
+func BenchmarkImageLoad(b *testing.B) {
+	sc := sim.QuickParams().Scale
+	spec, err := workloads.Get("BFS_KR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Build(sc) // generate and memoize the graph outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec.Build(sc)
+	}
+}
+
+// TestArrayBulkSetDoesNotAllocate guards the page-wise image setters:
+// once an array's pages are touched, Fill, SetU32s and an ArrayWriter
+// write in place.
+func TestArrayBulkSetDoesNotAllocate(t *testing.T) {
+	m := mem.New()
+	const n = 3 * mem.PageSize / 4
+	a := m.NewArray(n, 4)
+	a.Fill(0) // fault every page in
+	vs := make([]uint32, n)
+	if allocs := testing.AllocsPerRun(20, func() {
+		a.Fill(7)
+		a.SetU32s(vs)
+		w := a.Writer()
+		for i := uint64(0); i < n; i++ {
+			w.Put(i)
+		}
+	}); allocs != 0 {
+		t.Fatalf("bulk array setters allocate %.1f objects per pass over touched pages", allocs)
 	}
 }

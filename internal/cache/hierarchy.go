@@ -330,25 +330,8 @@ func (h *Hierarchy) Prefetch(addr uint64, at int64, origin Origin) Result {
 // in the L1-I, so the common case is free (hit latency is hidden by
 // fetch-ahead); a miss stalls the front end for the fill.
 func (h *Hierarchy) FetchInstr(addr uint64, at int64) (bubble int64) {
-	// Combined I-side fast path: MRU ITLB entry and MRU L1I line, the
-	// loop-execution steady state. Replays exactly the state updates of
-	// the call chain below (ITLB fast hit, then an L1I Lookup fast hit
-	// with markTouched), so counters, clocks and line state are
-	// bit-identical; anything else falls through to the full path.
-	if it := h.ITLB; it.fastVPN == addr>>PageBits+1 {
-		if c := h.L1I; c.fastLine == addr>>LineBits+1 {
-			it.Accesses++
-			it.clock++
-			it.lastUse[it.fastIdx] = it.clock
-			c.Accesses++
-			c.lruClock++
-			l := c.fastWay
-			l.lastUse = c.lruClock
-			l.touched = true
-			l.prefetch = -1
-			h.lastILine = addr &^ (LineSize - 1)
-			return 0
-		}
+	if h.fetchInstrMRU(addr &^ (LineSize - 1)) {
+		return 0
 	}
 	if !h.ITLB.Lookup(addr) {
 		if h.STLB.Lookup(addr) {
@@ -385,6 +368,29 @@ func (h *Hierarchy) FetchInstr(addr uint64, at int64) (bubble int64) {
 		return bubble
 	}
 	return fill - at
+}
+
+// fetchInstrMRU is the combined I-side fast path of FetchInstr and
+// WarmFetchInstr for a fetch from the given line address: MRU ITLB entry
+// and MRU L1I line, the loop-execution steady state. It replays exactly
+// the state updates of their shared slow-path prefix (an ITLB fast hit,
+// then an L1I Lookup fast hit with markTouched), so counters, clocks and
+// line state are bit-identical, and reports whether it served the fetch;
+// anything else falls through to the caller's full path.
+func (h *Hierarchy) fetchInstrMRU(line uint64) bool {
+	it, c := h.ITLB, h.L1I
+	if it.fastVPN != line>>PageBits+1 || c.fastLine != line>>LineBits+1 {
+		return false
+	}
+	it.Accesses++
+	it.clock++
+	it.lastUse[it.fastIdx] = it.clock
+	c.Accesses++
+	c.lruClock++
+	l := c.fastWay
+	l.lastUse, l.touched, l.prefetch = c.lruClock, true, -1
+	h.lastILine = line
+	return true
 }
 
 // TotalDRAMLoads sums line fetches across origins, including the

@@ -45,6 +45,9 @@ func (h *Hierarchy) WarmPrefetch(addr uint64, origin Origin) {
 // I-TLB inserts and the L1-I fill pair (missed line plus next-line
 // prefetch).
 func (h *Hierarchy) WarmFetchInstr(addr uint64) {
+	if h.fetchInstrMRU(addr &^ (LineSize - 1)) {
+		return
+	}
 	if !h.ITLB.Lookup(addr) {
 		if !h.STLB.Lookup(addr) {
 			h.STLB.Insert(addr)

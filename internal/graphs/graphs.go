@@ -9,7 +9,7 @@ package graphs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -42,30 +42,62 @@ func (g *CSR) MaxDegree() int {
 	return m
 }
 
-// fromEdges builds a CSR from an edge list, sorting and deduplicating
-// neighbors per vertex (self-loops are kept; GAP kernels tolerate them).
+// fromEdges builds a CSR from an edge list and sorts each vertex's
+// neighbors (duplicate edges and self-loops are kept; GAP kernels
+// tolerate them). It groups the edges by source vertex in place, so dst
+// becomes the neighbor array and src is clobbered: the build holds no
+// second neighbor array beside the edge list.
 func fromEdges(name string, n int, src, dst []uint32) *CSR {
-	deg := make([]uint32, n+1)
-	for _, s := range src {
-		deg[s+1]++
-	}
 	off := make([]uint32, n+1)
-	for i := 1; i <= n; i++ {
-		off[i] = off[i-1] + deg[i]
+	for _, s := range src {
+		off[s+1]++
 	}
-	neigh := make([]uint32, len(src))
-	cursor := make([]uint32, n)
-	copy(cursor, off[:n])
-	for i, s := range src {
-		neigh[cursor[s]] = dst[i]
-		cursor[s]++
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	// Two in-place bucket passes: by blocks of vertices, then by vertex
+	// within each block, so the second pass's swaps stay inside one
+	// block's stretch of the arrays instead of ranging over all of them.
+	const blockBits = 11
+	next := make([]uint32, max(1<<blockBits, n>>blockBits+1))
+	groupEdges(src, dst, off, 0, n, blockBits, next)
+	for lo := 0; lo < n; lo += 1 << blockBits {
+		groupEdges(src, dst, off, lo, min(lo+1<<blockBits, n), 0, next)
 	}
 	// Sort each adjacency list for locality realism (GAP does the same).
 	for u := 0; u < n; u++ {
-		seg := neigh[off[u]:off[u+1]]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		slices.Sort(dst[off[u]:off[u+1]])
 	}
-	return &CSR{Name: name, NumNodes: n, Offsets: off, Neighbors: neigh}
+	return &CSR{Name: name, NumNodes: n, Offsets: off, Neighbors: dst}
+}
+
+// groupEdges permutes the edges of sources [lo, hi), which occupy
+// [off[lo], off[hi]), in place so that the edges of each bucket of
+// 1<<shift consecutive sources occupy that bucket's offset range. lo is
+// a multiple of 1<<shift; next is scratch with a slot per bucket.
+func groupEdges(src, dst, off []uint32, lo, hi int, shift uint, next []uint32) {
+	nb := (hi - lo + 1<<shift - 1) >> shift
+	for k := 0; k < nb; k++ {
+		next[k] = off[lo+k<<shift]
+	}
+	base := uint32(lo >> shift)
+	for k := 0; k < nb; k++ {
+		end := off[min(lo+(k+1)<<shift, hi)]
+		// next[k] is the first slot of bucket k not yet holding one of
+		// its edges. Carry the edge there to its own bucket, picking up
+		// the edge it displaces, until the edge in hand belongs to k.
+		for i := next[k]; i < end; i = next[k] {
+			s, d := src[i], dst[i]
+			for b := s>>shift - base; b != uint32(k); b = s>>shift - base {
+				j := next[b]
+				next[b]++
+				s, src[j] = src[j], s
+				d, dst[j] = dst[j], d
+			}
+			src[i], dst[i] = s, d
+			next[k]++
+		}
+	}
 }
 
 // Uniform generates a uniform-random (Erdős–Rényi-style) graph with n
@@ -86,34 +118,67 @@ func Uniform(name string, n, degree int, seed int64) *CSR {
 // about edgeFactor*2^scale edges using the Graph500 parameters
 // (A=0.57, B=0.19, C=0.19) — the paper's KR input. Degree distribution is
 // heavily skewed, as in real social networks.
+//
+// Each edge draws one uniform value per bit and picks the quadrant whose
+// cumulative probability first exceeds it. The draws are exactly those
+// of math/rand's Rand.Float64 (r = Int63/2^63, resampled when r rounds
+// to 1), compared as integers against precomputed thresholds, so the
+// graph is draw-for-draw the one a float comparison produces.
 func Kronecker(name string, scale, edgeFactor int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.NewSource(seed)
 	n := 1 << scale
 	m := n * edgeFactor
-	const a, b, c = 0.57, 0.19, 0.19
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	for i := 0; i < m; i++ {
-		var u, v int
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left quadrant: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+		var u, v uint32
+		for bit := uint(0); bit < uint(scale); bit++ {
+			x := uint64(rng.Int63())
+			for x >= krOne {
+				x = uint64(rng.Int63())
 			}
+			// Quadrants in order: none (< a), v (< a+b), u (< a+b+c),
+			// both.
+			ab := geq(x, krAB)
+			u |= ab << bit
+			v |= (geq(x, krA) ^ ab ^ geq(x, krABC)) << bit
 		}
-		src[i] = uint32(u)
-		dst[i] = uint32(v)
+		src[i] = u
+		dst[i] = v
 	}
 	return fromEdges(name, n, src, dst)
 }
+
+// The Kronecker quadrant thresholds: the least Int63 draw x whose
+// Float64 value float64(x)/2^63 reaches A, A+B, A+B+C and 1. The sums
+// are exact constant expressions rounded once to float64, as in a float
+// comparison against them.
+var (
+	krA   = float64Threshold(0.57)
+	krAB  = float64Threshold(0.57 + 0.19)
+	krABC = float64Threshold(0.57 + 0.19 + 0.19)
+	krOne = float64Threshold(1)
+)
+
+// float64Threshold returns the least x in [0, 2^63] with
+// float64(x)/2^63 >= p. The conversion rounds monotonically, so
+// float64(x)/2^63 < p exactly when x is below the threshold.
+func float64Threshold(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// geq returns 1 if x >= t and 0 otherwise, without a branch; x and t
+// are below 2^63, so x-t wraps to a set top bit exactly when x < t.
+func geq(x, t uint64) uint32 { return uint32((x-t)>>63) ^ 1 }
 
 // PowerLaw generates a graph whose out-degrees follow a discrete
 // power-law with the given exponent (smaller exponent = heavier tail),
@@ -170,11 +235,19 @@ var Inputs = []Input{KR, LJN, ORK, TW, UR}
 
 // buildCache memoizes generated graphs: the five GAP kernels reuse the
 // same five inputs, and experiment sweeps rebuild workloads repeatedly.
-// CSR graphs are treated as read-only after construction.
+// The lock guards only the map; each input is generated once under its
+// own entry's sync.Once, so builds of different inputs run in parallel
+// and concurrent callers for one input wait for the same graph. CSR
+// graphs are treated as read-only after construction.
 var buildCache = struct {
 	sync.Mutex
-	m map[string]*CSR
-}{m: make(map[string]*CSR)}
+	m map[string]*buildEntry
+}{m: make(map[string]*buildEntry)}
+
+type buildEntry struct {
+	once sync.Once
+	g    *CSR
+}
 
 // Build constructs the named input at the given scale (vertex count
 // target; generators round to their natural sizes). Each input keeps its
@@ -184,16 +257,22 @@ var buildCache = struct {
 func Build(in Input, n int, seed int64) *CSR {
 	key := fmt.Sprintf("%s/%d/%d", in, n, seed)
 	buildCache.Lock()
-	defer buildCache.Unlock()
-	if g, ok := buildCache.m[key]; ok {
-		return g
+	e := buildCache.m[key]
+	if e == nil {
+		e = new(buildEntry)
+		buildCache.m[key] = e
 	}
-	g := build(in, n, seed)
-	buildCache.m[key] = g
-	return g
+	buildCache.Unlock()
+	e.once.Do(func() { e.g = Generate(in, n, seed) })
+	if e.g == nil {
+		panic("graphs: an earlier build of " + key + " failed")
+	}
+	return e.g
 }
 
-func build(in Input, n int, seed int64) *CSR {
+// Generate constructs the named input like Build, but afresh on every
+// call: it bypasses the memo, for benchmarks of the generators.
+func Generate(in Input, n int, seed int64) *CSR {
 	switch in {
 	case KR:
 		scale := 0

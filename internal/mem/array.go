@@ -1,5 +1,11 @@
 package mem
 
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
 // Array is a typed view over a region of the memory image. Workload
 // builders use it to lay out CSR graphs, hash tables and matrices, and
 // tests use it to check results the kernels computed.
@@ -41,9 +47,89 @@ func (a Array) SetF(i uint64, v float64) { a.m.WriteF64(a.Addr(i), v) }
 // Bytes returns the total footprint of the array in bytes.
 func (a Array) Bytes() uint64 { return a.N * uint64(a.Elem) }
 
-// Fill sets every element to v.
+// Fill sets every element to v (its low Elem bytes), a backing page at
+// a time.
 func (a Array) Fill(v uint64) {
-	for i := uint64(0); i < a.N; i++ {
-		a.Set(i, v)
+	var pat [8]byte
+	binary.LittleEndian.PutUint64(pat[:], v)
+	e := uint64(a.Elem)
+	for i := uint64(0); i < a.N; {
+		b := a.span(i)
+		// b holds whole elements: seed one, then double the pattern.
+		copy(b, pat[:e])
+		for n := e; n < uint64(len(b)); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+		i += uint64(len(b)) / e
 	}
 }
+
+// SetU32s writes vs to the first len(vs) elements of a 4-byte array, a
+// backing page at a time.
+func (a Array) SetU32s(vs []uint32) {
+	if a.Elem != 4 || uint64(len(vs)) > a.N {
+		panic(fmt.Sprintf("mem: SetU32s of %d values into %d elements of %d bytes", len(vs), a.N, a.Elem))
+	}
+	for i := uint64(0); len(vs) > 0; {
+		b := a.span(i)
+		k := min(len(b)/4, len(vs))
+		for j, v := range vs[:k] {
+			binary.LittleEndian.PutUint32(b[4*j:], v)
+		}
+		vs = vs[k:]
+		i += uint64(k)
+	}
+}
+
+// span returns the writable bytes of element i's backing page from
+// element i up to the page's or the array's end, whichever comes first.
+// Arrays from NewArray start aligned to their element size, so the span
+// holds whole elements and no element straddles a page.
+func (a Array) span(i uint64) []byte {
+	addr := a.Addr(i)
+	if e := uint64(a.Elem); e == 0 || e > 8 || e&(e-1) != 0 || addr%e != 0 {
+		panic(fmt.Sprintf("mem: bulk write to an array at %#x of %d-byte elements; want 1, 2, 4 or 8 bytes, aligned", a.Base, a.Elem))
+	}
+	off := addr & pageMask
+	end := min(PageSize, off+(a.N-i)*uint64(a.Elem))
+	return a.m.writePage(addr).data[off:end]
+}
+
+// ArrayWriter stores consecutive elements of an Array, looking each
+// backing page up once rather than once per element: workload builders
+// use it for init loops whose values are computed in order. It holds the
+// current page's bytes between calls, so the image must not be cloned
+// while a writer is in use.
+type ArrayWriter struct {
+	a   Array
+	i   uint64 // next element
+	buf []byte // writable bytes from element i to the end of its span
+}
+
+// Writer returns an ArrayWriter positioned at element 0.
+func (a Array) Writer() ArrayWriter { return ArrayWriter{a: a} }
+
+// Put stores the low Elem bytes of v in the next element.
+func (w *ArrayWriter) Put(v uint64) {
+	if len(w.buf) == 0 {
+		if w.i >= w.a.N {
+			panic(fmt.Sprintf("mem: ArrayWriter past the end of a %d-element array", w.a.N))
+		}
+		w.buf = w.a.span(w.i)
+	}
+	switch w.a.Elem {
+	case 8:
+		binary.LittleEndian.PutUint64(w.buf, v)
+	case 4:
+		binary.LittleEndian.PutUint32(w.buf, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(w.buf, uint16(v))
+	case 1:
+		w.buf[0] = byte(v)
+	}
+	w.buf = w.buf[w.a.Elem:]
+	w.i++
+}
+
+// PutF stores a float64 in the next element (Elem must be 8).
+func (w *ArrayWriter) PutF(v float64) { w.Put(math.Float64bits(v)) }

@@ -147,3 +147,93 @@ func TestArrayFill(t *testing.T) {
 		}
 	}
 }
+
+// TestArrayBulkSetMatchesSet checks Fill, SetU32s and ArrayWriter
+// against per-element Set on arrays spanning several backing pages, for
+// every element size, starting mid-page and on a page boundary.
+func TestArrayBulkSetMatchesSet(t *testing.T) {
+	val := func(i uint64) uint64 { return i*0x9E3779B97F4A7C15 + 3 }
+	for _, elem := range []uint8{1, 2, 4, 8} {
+		for _, pad := range []uint64{0, 5000} {
+			bulk, ref := New(), New()
+			bulk.Alloc(pad, 1)
+			ref.Alloc(pad, 1)
+			n := 3*PageSize/uint64(elem) + 7
+			fa, fr := bulk.NewArray(n, elem), ref.NewArray(n, elem)
+			wa, wr := bulk.NewArray(n, elem), ref.NewArray(n, elem)
+			fa.Fill(0xA1B2C3D4E5F60718)
+			w := wa.Writer()
+			for i := uint64(0); i < n; i++ {
+				fr.Set(i, 0xA1B2C3D4E5F60718)
+				w.Put(val(i))
+				wr.Set(i, val(i))
+			}
+			if elem == 4 {
+				sa, sr := bulk.NewArray(n, 4), ref.NewArray(n, 4)
+				vs := make([]uint32, n-3)
+				for i := range vs {
+					vs[i] = uint32(val(uint64(i)))
+					sr.Set(uint64(i), uint64(vs[i]))
+				}
+				sa.SetU32s(vs)
+			}
+			if bulk.Brk() != ref.Brk() || bulk.Pages() != ref.Pages() {
+				t.Fatalf("elem %d pad %d: brk/pages %d/%d, want %d/%d", elem, pad, bulk.Brk(), bulk.Pages(), ref.Brk(), ref.Pages())
+			}
+			got, want := make([]byte, bulk.Brk()), make([]byte, ref.Brk())
+			bulk.ReadBytes(0, got)
+			ref.ReadBytes(0, want)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("elem %d pad %d: byte %#x = %#x, want %#x", elem, pad, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestArrayBulkSetCopiesOnWrite: bulk writes to a clone never reach the
+// parent's shared pages.
+func TestArrayBulkSetCopiesOnWrite(t *testing.T) {
+	m := New()
+	a := m.NewArray(2*PageSize/4, 4)
+	a.Fill(1)
+	c := m.Clone()
+	ca := a
+	ca.m = c
+	ca.Fill(2)
+	ca.SetU32s([]uint32{3})
+	w := ca.Writer()
+	w.Put(4)
+	if a.Get(0) != 1 || a.Get(a.N-1) != 1 {
+		t.Fatalf("parent changed: %d %d", a.Get(0), a.Get(a.N-1))
+	}
+	if ca.Get(0) != 4 || ca.Get(1) != 2 {
+		t.Fatalf("clone = %d %d, want 4 2", ca.Get(0), ca.Get(1))
+	}
+}
+
+func TestArrayBulkSetBounds(t *testing.T) {
+	m := New()
+	a := m.NewArray(4, 4)
+	for name, f := range map[string]func(){
+		"SetU32s past end": func() { a.SetU32s([]uint32{1, 2, 3, 4, 5}) },
+		"SetU32s elem 8":   func() { m.NewArray(4, 8).SetU32s([]uint32{1}) },
+		"Writer past end": func() {
+			w := a.Writer()
+			for i := 0; i < 5; i++ {
+				w.Put(1)
+			}
+		},
+		"misaligned": func() { Array{m: m, Base: a.Base + 1, Elem: 4, N: 2}.Fill(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -61,12 +61,8 @@ func loadGraph(g *graphs.CSR) graphImage {
 	m := mem.New()
 	off := m.NewArray(uint64(g.NumNodes+1), 4)
 	neigh := m.NewArray(uint64(len(g.Neighbors)), 4)
-	for i, o := range g.Offsets {
-		off.Set(uint64(i), uint64(o))
-	}
-	for i, v := range g.Neighbors {
-		neigh.Set(uint64(i), uint64(v))
-	}
+	off.SetU32s(g.Offsets)
+	neigh.SetU32s(g.Neighbors)
 	return graphImage{m: m, off: off, neigh: neigh}
 }
 
@@ -134,8 +130,9 @@ func buildPR(g *graphs.CSR, name string) *Instance {
 	n := g.NumNodes
 	contrib := gi.m.NewArray(uint64(n), 8)
 	out := gi.m.NewArray(uint64(n), 8)
+	wc := contrib.Writer()
 	for u := 0; u < n; u++ {
-		contrib.SetF(uint64(u), 1.0/float64(g.Degree(u)+1))
+		wc.PutF(1.0 / float64(g.Degree(u)+1))
 	}
 
 	b := isa.NewBuilder(name)
@@ -188,9 +185,7 @@ func buildBFSNamed(g *graphs.CSR, name string) *Instance {
 	parent := gi.m.NewArray(uint64(n), 8) // int64 parents, -1 = unvisited
 	qa := gi.m.NewArray(uint64(n), 4)
 	qb := gi.m.NewArray(uint64(n), 4)
-	for u := 0; u < n; u++ {
-		parent.SetI(uint64(u), -1)
-	}
+	parent.Fill(^uint64(0)) // int64 -1 everywhere
 	src := pickSource(g)
 	parent.SetI(uint64(src), int64(src))
 	qa.Set(0, uint64(src))
@@ -315,8 +310,9 @@ func buildCC(g *graphs.CSR, name string) *Instance {
 	gi := loadGraph(g)
 	n := g.NumNodes
 	comp := gi.m.NewArray(uint64(n), 4)
+	wc := comp.Writer()
 	for u := 0; u < n; u++ {
-		comp.Set(uint64(u), uint64(u))
+		wc.Put(uint64(u))
 	}
 
 	b := isa.NewBuilder(name)
@@ -415,13 +411,12 @@ func buildSSSP(g *graphs.CSR, name string, seed int64) *Instance {
 	queue := gi.m.NewArray(ringCap, 4)
 
 	x := uint64(seed)*2654435761 + 12345
+	ww := w.Writer()
 	for k := 0; k < m; k++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		w.Set(uint64(k), 1+(x>>33)%16)
+		ww.Put(1 + (x>>33)%16)
 	}
-	for u := 0; u < n; u++ {
-		dist.SetI(uint64(u), infDist)
-	}
+	dist.Fill(uint64(infDist))
 	src := pickSource(g)
 	dist.SetI(uint64(src), 0)
 	inq.Set(uint64(src), 1)
@@ -561,9 +556,8 @@ func buildBC(g *graphs.CSR, name string) *Instance {
 	sigma := gi.m.NewArray(uint64(n), 8) // float64 path counts
 	delta := gi.m.NewArray(uint64(n), 8) // float64 dependencies
 	visit := gi.m.NewArray(uint64(n), 4) // visit order
-	for u := 0; u < n; u++ {
-		level.SetI(uint64(u), -1)
-	}
+	// Every level starts at int64 -1.
+	level.Fill(^uint64(0))
 	src := pickSource(g)
 	level.SetI(uint64(src), 0)
 	sigma.SetF(uint64(src), 1)

@@ -56,12 +56,14 @@ func buildCamel(sc Scale) *Instance {
 	idxB := m.NewArray(n, 4)
 	data := m.NewArray(n*2, 8)
 	rng := lcg(sc.Seed)
+	wa, wb := idxA.Writer(), idxB.Writer()
 	for i := uint64(0); i < n; i++ {
-		idxA.Set(i, rng.next()%(n*2))
-		idxB.Set(i, rng.next()%(n*2))
+		wa.Put(rng.next() % (n * 2))
+		wb.Put(rng.next() % (n * 2))
 	}
+	wd := data.Writer()
 	for i := uint64(0); i < n*2; i++ {
-		data.SetF(i, float64(i%1000)*0.5)
+		wd.PutF(float64(i%1000) * 0.5)
 	}
 	out := m.NewArray(1, 8)
 
@@ -168,11 +170,12 @@ func buildHashJoin(sc Scale, bucketSize int) *Instance {
 		}
 	}
 	// Probe keys: half hits, half misses (odd keys never built).
+	wp := probes.Writer()
 	for i := uint64(0); i < probes.N; i++ {
 		if rng.next()&1 == 0 {
-			probes.Set(i, rng.next()*2+2)
+			wp.Put(rng.next()*2 + 2)
 		} else {
-			probes.Set(i, rng.next()*2+1)
+			wp.Put(rng.next()*2 + 1)
 		}
 	}
 
@@ -292,9 +295,10 @@ func buildKangaroo(sc Scale) *Instance {
 	k2 := m.NewArray(n, 4)
 	hist := m.NewArray(n, 8)
 	rng := lcg(sc.Seed + 13)
+	w1, w2 := k1.Writer(), k2.Writer()
 	for i := uint64(0); i < n; i++ {
-		k1.Set(i, rng.next()%n)
-		k2.Set(i, rng.next()%n)
+		w1.Put(rng.next() % n)
+		w2.Put(rng.next() % n)
 	}
 
 	b := isa.NewBuilder("Kangr")
@@ -358,15 +362,18 @@ func buildNASCG(sc Scale) *Instance {
 	x := m.NewArray(rows, 8)
 	y := m.NewArray(rows, 8)
 	rng := lcg(sc.Seed + 21)
+	wr := rowPtr.Writer()
 	for r := uint64(0); r <= rows; r++ {
-		rowPtr.Set(r, r*nnzPerRow)
+		wr.Put(r * nnzPerRow)
 	}
+	wc, wv := colIdx.Writer(), vals.Writer()
 	for k := uint64(0); k < nnz; k++ {
-		colIdx.Set(k, rng.next()%rows)
-		vals.SetF(k, float64(k%97)*0.25)
+		wc.Put(rng.next() % rows)
+		wv.PutF(float64(k%97) * 0.25)
 	}
+	wx := x.Writer()
 	for r := uint64(0); r < rows; r++ {
-		x.SetF(r, float64(r%31)*1.5)
+		wx.PutF(float64(r%31) * 1.5)
 	}
 
 	b := isa.NewBuilder("NAS-CG")
@@ -448,8 +455,9 @@ func buildNASIS(sc Scale) *Instance {
 	keys := m.NewArray(n, 4)
 	hist := m.NewArray(n, 8)
 	rng := lcg(sc.Seed + 31)
+	wk := keys.Writer()
 	for i := uint64(0); i < n; i++ {
-		keys.Set(i, rng.next()%n)
+		wk.Put(rng.next() % n)
 	}
 
 	b := isa.NewBuilder("NAS-IS")
@@ -504,9 +512,10 @@ func buildRandacc(sc Scale) *Instance {
 	table := m.NewArray(n, 8)
 	rans := m.NewArray(n, 8)
 	rng := lcg(sc.Seed + 43)
+	wr, wt := rans.Writer(), table.Writer()
 	for i := uint64(0); i < n; i++ {
-		rans.Set(i, rng.next()<<13|rng.next())
-		table.Set(i, i)
+		wr.Put(rng.next()<<13 | rng.next())
+		wt.Put(i)
 	}
 
 	b := isa.NewBuilder("Randacc")
