@@ -9,6 +9,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/cpu/ooo"
@@ -32,14 +33,14 @@ func runExperiment(b *testing.B, id string, wls []string, metrics []string) {
 	b.Helper()
 	// The memoized run cache would turn every iteration after the first
 	// into a lookup; benchmarks measure real simulation work, so run cold.
-	prev := sim.SetRunCacheEnabled(false)
-	defer sim.SetRunCacheEnabled(prev)
+	eng := sim.NewEngine(nil)
+	eng.Artifacts().SetClassEnabled(artifact.Result, false)
 	e, err := sim.GetExperiment(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rep := e.Run(expParams(wls))
+		rep := e.Run(eng.RunMatrix, expParams(wls))
 		if i == b.N-1 {
 			for _, m := range metrics {
 				if v, ok := rep.Values[m]; ok {

@@ -4,32 +4,28 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
 
-// The process-wide grid scheduler. Every subcommand that executes a
-// (config × workload) matrix — run, all, bench, compare, serve — is a
-// thin client of this one scheduler core: scheduler() installs it as the
-// sim matrix runner, so experiment grids, ad-hoc comparisons and served
-// jobs share the same queue, worker pool and artifact store.
-var (
-	schedOnce sync.Once
-	schedOpts grid.Options
-	sched     *grid.Scheduler
-)
+// Every subcommand that executes a (config × workload) matrix — run,
+// all, bench, compare, serve — is a thin client of one grid scheduler
+// over its own sim.Engine: experiment grids, ad-hoc comparisons and
+// served jobs go through the same queue, worker pool and artifact store
+// code, and each invocation's options and counters are its own.
 
-// scheduler returns the shared scheduler, creating it on first use.
-// serve sets schedOpts (workers, queue bound) before this first call.
-func scheduler() *grid.Scheduler {
-	schedOnce.Do(func() {
-		sched = grid.New(schedOpts)
-		sim.SetMatrixRunner(sched.RunMatrix)
-	})
-	return sched
+// runObserver is the CLI's engine observer: the progress callback sees
+// every finished cell, and the embedded lifecycle journal (nil without
+// -journal or -gridtrace) sees phases, artifacts and, through the
+// scheduler, the job and cell lifecycle.
+type runObserver struct {
+	*grid.Journal
+	progress func(sim.CellEvent)
 }
+
+// CellDone reports a finished cell to the progress callback.
+func (o runObserver) CellDone(ev sim.CellEvent) { o.progress(ev) }
 
 // gridFlags is the window/grid flag block shared by run, all and bench:
 // one definition of -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt/

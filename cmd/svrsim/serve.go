@@ -23,11 +23,10 @@ import (
 const defaultStateFile = "svrsim-state.json"
 
 // handleDrainSignals installs a SIGINT/SIGTERM handler implementing the
-// graceful-shutdown contract shared by `svrsim serve` and the -status
-// server: drain running cells, persist the queue state, run pre (extra
-// teardown, may be nil), exit 0. The returned stop function uninstalls
-// the handler.
-func handleDrainSignals(statePath string, pre func()) (stop func()) {
+// graceful-shutdown contract of the -status server: drain s's running
+// cells, persist its queue state, run pre (extra teardown, may be nil),
+// exit 0. The returned stop function uninstalls the handler.
+func handleDrainSignals(statePath string, s *grid.Scheduler, pre func()) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -36,9 +35,9 @@ func handleDrainSignals(statePath string, pre func()) (stop func()) {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "\nsvrsim: %s: draining running cells...\n", sig)
-		scheduler().Shutdown()
+		s.Shutdown()
 		if statePath != "" {
-			if err := scheduler().SaveState(statePath); err != nil {
+			if err := s.SaveState(statePath); err != nil {
 				fmt.Fprintf(os.Stderr, "svrsim: persisting queue state: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "svrsim: queue state saved to %s\n", statePath)
@@ -55,8 +54,8 @@ func handleDrainSignals(statePath string, pre func()) (stop func()) {
 	}
 }
 
-// cmdServe runs the multi-tenant grid service: the shared scheduler
-// core behind an HTTP/JSON API (submit grids, stream per-cell results,
+// cmdServe runs the multi-tenant grid service: a grid scheduler behind
+// an HTTP/JSON API (submit grids, stream per-cell results,
 // poll/cancel/resume jobs), plus the /status, /metrics and /debug
 // observability surfaces. SIGINT/SIGTERM shuts down gracefully: running
 // cells drain, the queue state is persisted, and the process exits 0.
@@ -70,11 +69,7 @@ func cmdServe(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	schedOpts.Workers = *workers
-	schedOpts.QueueCap = *queueCap
-	s := scheduler()
-
-	// The server always captures the journal in memory (a bounded ring)
+	// The server's engine always journals into a bounded in-memory ring
 	// so GET /api/jobs/{id}/trace can render any recent job; -journal
 	// additionally streams the full event stream to disk.
 	jcfg := grid.JournalConfig{Capture: serveJournalRing}
@@ -88,9 +83,8 @@ func cmdServe(w io.Writer, args []string) error {
 		jcfg.Writer = f
 	}
 	jn := grid.NewJournal(jcfg)
-	grid.SetJournal(jn)
+	s := grid.New(grid.Options{Engine: sim.NewEngine(jn), Workers: *workers, QueueCap: *queueCap})
 	defer func() {
-		grid.SetJournal(nil)
 		if err := jn.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "svrsim: journal: %v\n", err)
 		}
@@ -168,13 +162,14 @@ func newServeMux(s *grid.Scheduler) *http.ServeMux {
 	// The artifact store's hit/miss/evict counters live in a metrics
 	// registry, served in Prometheus text format on /metrics alongside
 	// the scheduler's queue-wait and per-phase latency histograms.
+	eng := s.Engine()
 	reg := metrics.New()
-	sim.Artifacts().Register(reg, "artifact")
+	eng.Artifacts().Register(reg, "artifact")
 
 	mux := http.NewServeMux()
 	mux.Handle("/api/", s.Handler())
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeStatusJSON(w)
+		writeStatusJSON(w, eng)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -184,7 +179,7 @@ func newServeMux(s *grid.Scheduler) *http.ServeMux {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	addDebugRoutes(mux)
+	addDebugRoutes(mux, eng)
 	return mux
 }
 

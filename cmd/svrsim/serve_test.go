@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // TestServeAndStatusMuxesCoexist: `svrsim serve` and the run-mode
@@ -19,10 +22,12 @@ func TestServeAndStatusMuxesCoexist(t *testing.T) {
 		}
 	}()
 
-	serveSrv := httptest.NewServer(newServeMux(scheduler()))
+	s := grid.New(grid.Options{Engine: sim.NewEngine(nil)})
+	defer s.Shutdown()
+	serveSrv := httptest.NewServer(newServeMux(s))
 	defer serveSrv.Close()
 
-	statusAddr, stopStatus, err := startStatusServer("127.0.0.1:0")
+	statusAddr, stopStatus, err := startStatusServer("127.0.0.1:0", sim.NewEngine(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestRunTimeseriesFlag(t *testing.T) {
 // serve the scheduler snapshot as JSON and /debug/vars must stay valid
 // expvar output.
 func TestStatusServer(t *testing.T) {
-	addr, shutdown, err := startStatusServer("127.0.0.1:0")
+	addr, shutdown, err := startStatusServer("127.0.0.1:0", sim.NewEngine(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,6 +72,7 @@ type Job struct {
 	params sim.Params
 	cells  []sim.CellRequest
 
+	jn            *Journal // the scheduler's, nil if none
 	mu            sync.Mutex
 	cond          *sync.Cond
 	tracker       *sim.Tracker
@@ -87,9 +88,9 @@ type Job struct {
 	finished      time.Time
 }
 
-func newJob(id, name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params) *Job {
+func newJob(id, name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params, jn *Journal) *Job {
 	j := &Job{
-		ID: id, Name: name, Priority: pri,
+		ID: id, Name: name, Priority: pri, jn: jn,
 		cfgs: cfgs, specs: specs, params: p,
 		cells:     sim.MatrixCells(cfgs, specs, p),
 		state:     StateQueued,
@@ -149,10 +150,11 @@ func (j *Job) closeTrackerLocked() {
 	}
 }
 
-// finishCell banks one executed cell and returns the job-progress event
-// for the CLI hook. When this completion ends the job (done, or canceled
-// with the last running cell finished) the tracker is closed.
-func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) (ev sim.CellEvent) {
+// finishCell banks one executed cell and reports it through the job's
+// tracker to the engine's observer. When this completion ends the job
+// (done, or canceled with the last running cell finished) the tracker is
+// closed.
+func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) {
 	var terminal bool
 	c := j.cells[i]
 	j.mu.Lock()
@@ -170,14 +172,19 @@ func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) (ev sim.Cel
 		Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
 	})
 	j.phaseWall.AddAll(out.Phases)
-	j.tracker.CellDone(out, res.Instrs)
+	j.tracker.CellDone(sim.CellEvent{
+		Label: c.Cfg.Label, Workload: c.Spec.Name,
+		Cached: out.Cached, Shared: out.Shared, Replayed: out.Replayed,
+		Wall: out.Wall, Instrs: res.Instrs, Phases: out.Phases,
+		Done: len(j.results), Cells: len(j.cells),
+	})
 	if len(j.pending) == 0 && j.state != StateCanceled {
 		j.state = StateDone
 		j.finished = time.Now()
 		j.rs.Stats.Wall = j.finished.Sub(j.submitted)
 		j.rs.Finish()
 		terminal = true
-		journalEmit(JournalEvent{Ev: EvJobDone, Job: j.ID,
+		j.jn.record(JournalEvent{Ev: EvJobDone, Job: j.ID,
 			DurNS: j.rs.Stats.Wall.Nanoseconds()})
 	}
 	if j.state == StateCanceled && len(j.running) == 0 {
@@ -187,12 +194,6 @@ func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) (ev sim.Cel
 		j.closeTrackerLocked()
 	}
 	j.cond.Broadcast()
-	return sim.CellEvent{
-		Label: c.Cfg.Label, Workload: c.Spec.Name,
-		Cached: out.Cached, Shared: out.Shared, Replayed: out.Replayed,
-		Wall: out.Wall, Instrs: res.Instrs, Phases: out.Phases,
-		Done: len(j.results), Cells: len(j.cells),
-	}
 }
 
 // terminalLocked reports whether the job will make no more progress:

@@ -8,17 +8,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// The process-wide artifact store unifies what used to be four private
-// caches: the workload build cache (PR 3), the shared post-fast-forward
-// checkpoints (PR 5), the recorded instruction streams (PR 6), and the
-// memoized cell-result cache (PR 1). One content-addressed, byte-budgeted
-// LRU means concurrent grid jobs share warm state across tenants and the
-// service layer gets hit/miss/evict observability for free.
-var artifacts = artifact.New(512 << 20)
-
-// Artifacts exposes the process-wide store to the service layer and the
-// status surfaces.
-func Artifacts() *artifact.Store { return artifacts }
+// The keys of an engine's artifact store (engine.go). One
+// content-addressed, byte-budgeted LRU holds four classes: workload
+// images, shared post-fast-forward checkpoints, recorded instruction
+// streams, and memoized cell results.
 
 // imageKey addresses a raw workload build. Builds are pure functions of
 // (generator, scale), so name+scale is a content key.
@@ -64,24 +57,4 @@ func resultBytes(res Result) int64 {
 		n += int64(len(res.Series.Rows)) * int64(len(res.Series.Columns)) * 8
 	}
 	return n
-}
-
-// RunCacheStats returns the cell-result cache counters (hits and misses
-// of the artifact store's result class).
-func RunCacheStats() (hits, misses int64) {
-	st := artifacts.Stats()[artifact.Result]
-	return st.Hits, st.Misses
-}
-
-// SetRunCacheEnabled toggles cell-result memoization (a cold run
-// re-simulates every cell, with no cross-job sharing) and returns the
-// previous setting. Disabling also drops the cached cells.
-func SetRunCacheEnabled(on bool) bool {
-	return artifacts.SetClassEnabled(artifact.Result, on)
-}
-
-// ResetRunCache drops every memoized cell and zeroes the counters.
-func ResetRunCache() {
-	artifacts.Purge(artifact.Result)
-	artifacts.ResetStats(artifact.Result)
 }

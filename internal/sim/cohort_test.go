@@ -91,7 +91,7 @@ func FuzzCohortChunks(f *testing.F) {
 		for i, cfg := range cfgs {
 			reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: p}
 		}
-		results := executeCold(t, reqs)
+		results := executeCold(t, coldEngine(), reqs)
 		for i, cfg := range cfgs {
 			if live := Run(spec, cfg, p); !reflect.DeepEqual(results[i], live) {
 				t.Errorf("%s (warmup=%d measure=%d chunk=%d sample=%d): cohort differs from live",

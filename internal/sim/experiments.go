@@ -12,9 +12,10 @@ import (
 )
 
 // Report is the output of one experiment: printable tables plus named
-// scalar values the tests assert against, and the scheduler counters of
-// every grid the experiment ran. When cell-metric collection is on
-// (SetCellMetrics), every scheduler cell's registry snapshot rides along.
+// scalar values the tests assert against, the scheduler counters of
+// every grid the experiment ran, every scheduler cell's registry
+// snapshot, and the time series of every cell that sampled one
+// (Params.SampleEvery).
 type Report struct {
 	ID          string
 	Title       string
@@ -25,6 +26,8 @@ type Report struct {
 	Sched       SchedStats
 	CellMetrics []CellMetrics
 	CellSeries  []CellSeries
+
+	run MatrixRunner // executes the experiment's grids
 }
 
 // CellMetrics pairs one scheduler cell with its metric snapshot.
@@ -41,35 +44,8 @@ type CellSeries struct {
 	Series   *TimeSeries
 }
 
-// cellMetricsOn gates per-cell snapshot collection into reports; the CLI
-// flips it for the -metrics flag. Collection is cheap (the snapshots
-// already exist on every Result), but the JSON it adds is bulky, so it
-// stays opt-in.
-var cellMetricsOn bool
-
-// SetCellMetrics toggles per-cell metric collection into reports and
-// returns the previous setting.
-func SetCellMetrics(on bool) bool {
-	prev := cellMetricsOn
-	cellMetricsOn = on
-	return prev
-}
-
-// cellSeriesOn gates per-cell time-series collection into reports; the
-// CLI flips it for the -timeseries flag (alongside Params.SampleEvery,
-// which makes the cells record a series in the first place).
-var cellSeriesOn bool
-
-// SetCellSeries toggles per-cell time-series collection into reports and
-// returns the previous setting.
-func SetCellSeries(on bool) bool {
-	prev := cellSeriesOn
-	cellSeriesOn = on
-	return prev
-}
-
-func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Values: map[string]float64{}}
+func newReport(run MatrixRunner, id, title string) *Report {
+	return &Report{ID: id, Title: title, Values: map[string]float64{}, run: run}
 }
 
 // String renders the full report.
@@ -117,26 +93,21 @@ func (r *Report) JSON() ([]byte, error) {
 	}{r.ID, r.Title, r.Notes, r.Values, r.Tables, r.Sched, r.CellMetrics, r.CellSeries}, "", "  ")
 }
 
-// matrix runs the cell scheduler over the grid and folds its counters
-// (and, when enabled, each cell's metric snapshot) into the report.
+// matrix runs the grid through the report's runner and folds its
+// counters, each cell's metric snapshot and any sampled series into the
+// report.
 func (r *Report) matrix(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
-	rs := runMatrix(cfgs, specs, p)
+	rs := r.run(cfgs, specs, p)
 	r.Sched.add(rs.Stats)
-	if cellMetricsOn {
-		for _, c := range rs.Cells {
-			res, _ := rs.Get(c.Label, c.Workload)
-			r.CellMetrics = append(r.CellMetrics, CellMetrics{
-				Label: c.Label, Workload: c.Workload, Metrics: res.Metrics,
+	for _, c := range rs.Cells {
+		res, _ := rs.Get(c.Label, c.Workload)
+		r.CellMetrics = append(r.CellMetrics, CellMetrics{
+			Label: c.Label, Workload: c.Workload, Metrics: res.Metrics,
+		})
+		if res.Series != nil {
+			r.CellSeries = append(r.CellSeries, CellSeries{
+				Label: c.Label, Workload: c.Workload, Series: res.Series,
 			})
-		}
-	}
-	if cellSeriesOn {
-		for _, c := range rs.Cells {
-			if res, _ := rs.Get(c.Label, c.Workload); res.Series != nil {
-				r.CellSeries = append(r.CellSeries, CellSeries{
-					Label: c.Label, Workload: c.Workload, Series: res.Series,
-				})
-			}
 		}
 	}
 	return rs
@@ -149,11 +120,12 @@ type ExpParams struct {
 	Workloads []string
 }
 
-// Experiment regenerates one table or figure of the paper.
+// Experiment regenerates one table or figure of the paper. Run executes
+// the experiment's grids through run.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(p ExpParams) *Report
+	Run   func(run MatrixRunner, p ExpParams) *Report
 }
 
 var experiments []Experiment

@@ -45,8 +45,8 @@ func init() {
 	})
 }
 
-func runFig1(p ExpParams) *Report {
-	r := newReport("fig1", "normalized performance and energy")
+func runFig1(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig1", "normalized performance and energy")
 	specs := evalSet(p)
 	m := r.matrix(standardConfigs(), specs, p.Params)
 	base := m.Row("in-order")
@@ -70,8 +70,8 @@ func runFig1(p ExpParams) *Report {
 	return r
 }
 
-func runFig3(p ExpParams) *Report {
-	r := newReport("fig3", "CPI stacks in-order vs OoO")
+func runFig3(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig3", "CPI stacks in-order vs OoO")
 	specs := evalSet(p)
 	m := r.matrix([]Config{MachineConfig(InO), MachineConfig(OoO)}, specs, p.Params)
 
@@ -104,8 +104,8 @@ func runFig3(p ExpParams) *Report {
 	return r
 }
 
-func runFig11(p ExpParams) *Report {
-	r := newReport("fig11", "CPI per workload")
+func runFig11(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig11", "CPI per workload")
 	specs := evalSet(p)
 	cfgs := standardConfigs()
 	m := r.matrix(cfgs, specs, p.Params)
@@ -139,8 +139,8 @@ func runFig11(p ExpParams) *Report {
 	return r
 }
 
-func runFig12(p ExpParams) *Report {
-	r := newReport("fig12", "energy per instruction")
+func runFig12(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig12", "energy per instruction")
 	specs := evalSet(p)
 	cfgs := standardConfigs()
 	m := r.matrix(cfgs, specs, p.Params)
@@ -173,8 +173,8 @@ func runFig12(p ExpParams) *Report {
 	return r
 }
 
-func runTable1(p ExpParams) *Report {
-	r := newReport("table1", "guiding principles of VR, DVR and SVR")
+func runTable1(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "table1", "guiding principles of VR, DVR and SVR")
 	t := stats.NewTable("property", "VR", "DVR", "SVR (this repo)")
 	rows := [][4]string{
 		{"Based on existing vector ISAs", "Y", "Y", "N"},
@@ -194,8 +194,8 @@ func runTable1(p ExpParams) *Report {
 	return r
 }
 
-func runTable2(p ExpParams) *Report {
-	r := newReport("table2", "hardware overhead")
+func runTable2(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "table2", "hardware overhead")
 	t := stats.NewTable("config", "bits", "KiB")
 	for _, n := range []int{8, 16, 32, 64, 128} {
 		opt := svr.DefaultOptions()
@@ -211,8 +211,8 @@ func runTable2(p ExpParams) *Report {
 	return r
 }
 
-func runTable3(p ExpParams) *Report {
-	r := newReport("table3", "machine configurations")
+func runTable3(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "table3", "machine configurations")
 	cfg := MachineConfig(InO)
 	t := stats.NewTable("parameter", "in-order / SVR", "out-of-order")
 	ooo := MachineConfig(OoO)

@@ -42,8 +42,8 @@ func prefetchOrigin(label string) cache.Origin {
 	return cache.OriginSVR
 }
 
-func runFig13a(p ExpParams) *Report {
-	r := newReport("fig13a", "prefetch accuracy")
+func runFig13a(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig13a", "prefetch accuracy")
 	specs := evalSet(p)
 	cfgs := []Config{
 		MachineConfig(IMP),
@@ -97,8 +97,8 @@ func runFig13a(p ExpParams) *Report {
 	return r
 }
 
-func runFig13b(p ExpParams) *Report {
-	r := newReport("fig13b", "coverage (DRAM load origins vs baseline)")
+func runFig13b(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig13b", "coverage (DRAM load origins vs baseline)")
 	specs := evalSet(p)
 	cfgs := []Config{MachineConfig(InO), MachineConfig(IMP), SVRConfig(16), SVRConfig(64)}
 	m := r.matrix(cfgs, specs, p.Params)
@@ -138,8 +138,8 @@ func runFig13b(p ExpParams) *Report {
 	return r
 }
 
-func runFig14(p ExpParams) *Report {
-	r := newReport("fig14", "SPEC overhead")
+func runFig14(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig14", "SPEC overhead")
 	var specs []workloads.Spec
 	if len(p.Workloads) > 0 {
 		specs = evalSet(p)

@@ -46,8 +46,8 @@ var fig15Modes = []svr.LoopBoundMode{
 	svr.LBDWait, svr.Maxlength, svr.LBDMaxlength, svr.LBDCV, svr.EWMAOnly, svr.Tournament,
 }
 
-func runFig15(p ExpParams) *Report {
-	r := newReport("fig15", "loop-bound prediction mechanisms")
+func runFig15(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig15", "loop-bound prediction mechanisms")
 	specs := sweepWorkloads(p)
 
 	cfgs := []Config{MachineConfig(InO)}
@@ -77,8 +77,8 @@ func runFig15(p ExpParams) *Report {
 	return r
 }
 
-func runFig16(p ExpParams) *Report {
-	r := newReport("fig16", "scalars per vector unit")
+func runFig16(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig16", "scalars per vector unit")
 	specs := sweepWorkloads(p)
 	cfgs := []Config{MachineConfig(InO)}
 	for _, n := range []int{16, 64} {
@@ -104,8 +104,8 @@ func runFig16(p ExpParams) *Report {
 	return r
 }
 
-func runFig17(p ExpParams) *Report {
-	r := newReport("fig17", "MSHR / PTW sensitivity")
+func runFig17(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig17", "MSHR / PTW sensitivity")
 	specs := sweepWorkloads(p)
 	mshrs := []int{1, 2, 4, 8, 16, 24, 32}
 	ptws := []int{2, 4, 6}
@@ -150,8 +150,8 @@ func runFig17(p ExpParams) *Report {
 
 // runFig17MSHROnly is the reduced grid used by tests: the MSHR axis at
 // the default 4 page-table walkers.
-func runFig17MSHROnly(p ExpParams) *Report {
-	r := newReport("fig17-mshr", "MSHR sensitivity (PTW=4)")
+func runFig17MSHROnly(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig17-mshr", "MSHR sensitivity (PTW=4)")
 	specs := sweepWorkloads(p)
 	mshrs := []int{1, 8, 16, 32}
 
@@ -185,8 +185,8 @@ func runFig17MSHROnly(p ExpParams) *Report {
 	return r
 }
 
-func runFig18(p ExpParams) *Report {
-	r := newReport("fig18", "memory bandwidth sensitivity")
+func runFig18(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "fig18", "memory bandwidth sensitivity")
 	specs := sweepWorkloads(p)
 	bws := []float64{12.5, 25, 50, 100}
 
@@ -222,8 +222,8 @@ func runFig18(p ExpParams) *Report {
 	return r
 }
 
-func runAblations(p ExpParams) *Report {
-	r := newReport("ablations", "§VI-D design-choice ablations")
+func runAblations(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "ablations", "§VI-D design-choice ablations")
 	specs := sweepWorkloads(p)
 
 	// Register every variant first, then run them as one matrix.

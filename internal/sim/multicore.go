@@ -86,8 +86,8 @@ func runCluster(specs []workloads.Spec, k int, p Params, useSVR bool) []float64 
 	return ipcs
 }
 
-func runMulticore(p ExpParams) *Report {
-	r := newReport("multicore", "SVR cores sharing one DRAM channel")
+func runMulticore(run MatrixRunner, p ExpParams) *Report {
+	r := newReport(run, "multicore", "SVR cores sharing one DRAM channel")
 	specs := sweepWorkloads(p)
 
 	// Per-workload solo runs (uncontended channel) form the baseline for

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/workloads"
 )
 
@@ -18,20 +20,54 @@ func mustSpec(t *testing.T, name string) workloads.Spec {
 	return spec
 }
 
+// coldEngine returns a fresh engine with result memoization off, so
+// every cell it executes really simulates.
+func coldEngine() *Engine {
+	e := NewEngine(nil)
+	e.Artifacts().SetClassEnabled(artifact.Result, false)
+	return e
+}
+
+// recorder is an Observer that keeps every event it sees.
+type recorder struct {
+	mu     sync.Mutex
+	cells  []CellEvent
+	phases []CellPhaseEvent
+	arts   []ArtifactEvent
+}
+
+func (r *recorder) CellDone(ev CellEvent) {
+	r.mu.Lock()
+	r.cells = append(r.cells, ev)
+	r.mu.Unlock()
+}
+
+func (r *recorder) CellPhase(ev CellPhaseEvent) {
+	r.mu.Lock()
+	r.phases = append(r.phases, ev)
+	r.mu.Unlock()
+}
+
+func (r *recorder) Artifact(ev ArtifactEvent) {
+	r.mu.Lock()
+	r.arts = append(r.arts, ev)
+	r.mu.Unlock()
+}
+
 // TestCachedCellBitIdentical: a cell served from the memo must equal both
 // the run that populated it and an uncached fresh re-run, bit for bit.
 func TestCachedCellBitIdentical(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	t.Parallel()
+	e := NewEngine(nil)
 	spec := mustSpec(t, "NAS-IS")
 	p := QuickParams()
 	cfg := SVRConfig(16)
 
-	first := runMatrix([]Config{cfg}, []workloads.Spec{spec}, p)
+	first := e.RunMatrix([]Config{cfg}, []workloads.Spec{spec}, p)
 	if first.Stats.Cached != 0 || first.Stats.Cells != 1 {
 		t.Fatalf("first run: %+v", first.Stats)
 	}
-	second := runMatrix([]Config{cfg}, []workloads.Spec{spec}, p)
+	second := e.RunMatrix([]Config{cfg}, []workloads.Spec{spec}, p)
 	if second.Stats.Cached != 1 {
 		t.Fatalf("second run not cached: %+v", second.Stats)
 	}
@@ -51,15 +87,15 @@ func TestCachedCellBitIdentical(t *testing.T) {
 // TestCacheKeyIgnoresLabel: sweeps relabel the default configuration all
 // the time; the display label must not split the cache.
 func TestCacheKeyIgnoresLabel(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	t.Parallel()
+	e := NewEngine(nil)
 	spec := mustSpec(t, "Randacc")
 	p := QuickParams()
 
-	runMatrix([]Config{SVRConfig(16)}, []workloads.Spec{spec}, p)
+	e.RunMatrix([]Config{SVRConfig(16)}, []workloads.Spec{spec}, p)
 	relabeled := SVRConfig(16)
 	relabeled.Label = "SVR16-m16-p4"
-	rs := runMatrix([]Config{relabeled}, []workloads.Spec{spec}, p)
+	rs := e.RunMatrix([]Config{relabeled}, []workloads.Spec{spec}, p)
 	if rs.Stats.Cached != 1 {
 		t.Errorf("relabeled config missed the cache: %+v", rs.Stats)
 	}
@@ -72,6 +108,7 @@ func TestCacheKeyIgnoresLabel(t *testing.T) {
 // TestCacheKeySplitsOnConfigAndParams: distinct machines or windows must
 // never share a cell.
 func TestCacheKeySplitsOnConfigAndParams(t *testing.T) {
+	t.Parallel()
 	p := QuickParams()
 	base := hashCell(SVRConfig(16), "NAS-IS", p)
 	if hashCell(SVRConfig(32), "NAS-IS", p) == base {
@@ -93,32 +130,26 @@ func TestCacheKeySplitsOnConfigAndParams(t *testing.T) {
 }
 
 func TestRunCacheDisabled(t *testing.T) {
-	ResetRunCache()
-	prev := SetRunCacheEnabled(false)
-	defer func() {
-		SetRunCacheEnabled(prev)
-		ResetRunCache()
-	}()
+	t.Parallel()
+	e := coldEngine()
 	spec := mustSpec(t, "Randacc")
 	p := QuickParams()
-	runMatrix([]Config{MachineConfig(InO)}, []workloads.Spec{spec}, p)
-	rs := runMatrix([]Config{MachineConfig(InO)}, []workloads.Spec{spec}, p)
+	e.RunMatrix([]Config{MachineConfig(InO)}, []workloads.Spec{spec}, p)
+	rs := e.RunMatrix([]Config{MachineConfig(InO)}, []workloads.Spec{spec}, p)
 	if rs.Stats.Cached != 0 {
 		t.Errorf("disabled cache served a cell: %+v", rs.Stats)
 	}
 }
 
-func TestProgressHook(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
-	var events []CellEvent
-	SetProgressHook(func(ev CellEvent) { events = append(events, ev) })
-	defer SetProgressHook(nil)
-
+func TestProgressEvents(t *testing.T) {
+	t.Parallel()
+	obs := &recorder{}
+	e := NewEngine(obs)
 	specs := []workloads.Spec{mustSpec(t, "NAS-IS"), mustSpec(t, "Randacc")}
 	cfgs := []Config{MachineConfig(InO), MachineConfig(OoO)}
-	runMatrix(cfgs, specs, QuickParams())
+	e.RunMatrix(cfgs, specs, QuickParams())
 
+	events := obs.cells
 	if len(events) != len(cfgs)*len(specs) {
 		t.Fatalf("got %d events, want %d", len(events), len(cfgs)*len(specs))
 	}
@@ -134,10 +165,9 @@ func TestProgressHook(t *testing.T) {
 }
 
 func TestResultSetAccessors(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	t.Parallel()
 	spec := mustSpec(t, "HJ2")
-	rs := runMatrix([]Config{MachineConfig(InO), SVRConfig(16)},
+	rs := NewEngine(nil).RunMatrix([]Config{MachineConfig(InO), SVRConfig(16)},
 		[]workloads.Spec{spec}, QuickParams())
 
 	if got := rs.Labels(); !reflect.DeepEqual(got, []string{"SVR16", "in-order"}) {
@@ -207,7 +237,7 @@ func TestGetExperimentUnknownListsIDs(t *testing.T) {
 }
 
 func TestReportJSON(t *testing.T) {
-	r := runTable2(ExpParams{})
+	r := runTable2(nil, ExpParams{})
 	blob, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)

@@ -181,8 +181,8 @@ type Result struct {
 }
 
 // Run simulates one workload on one machine. It builds a fresh instance
-// and always executes — the memoized run cache only fronts the experiment
-// scheduler (runMatrix), so callers that depend on real execution (e.g.
+// and always executes — the memoized run cache only fronts an engine's
+// cell execution (ExecuteCohort), so callers that depend on real execution (e.g.
 // architectural self-checks on the mutated memory image) stay exact.
 // It panics if cfg names a core kind with no registered Machine.
 func Run(spec workloads.Spec, cfg Config, p Params) Result {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/artifact"
@@ -16,41 +15,6 @@ import (
 // stepped by every single-window cell of that window as a cohort member
 // (cohort.go).
 
-// streamStats aggregates recording-pass production counters for the
-// bench and status surfaces.
-var streamStats = struct {
-	sync.Mutex
-	recordings int
-	bytes      int64
-	instrs     uint64
-}{}
-
-// StreamCacheStats describes the recording passes produced so far.
-type StreamCacheStats struct {
-	Recordings int    // recording passes actually executed (cache misses)
-	Bytes      int64  // total encoded stream bytes produced
-	Instrs     uint64 // total instructions recorded
-}
-
-// BytesPerInstr returns the mean encoded record size across recordings.
-func (s StreamCacheStats) BytesPerInstr() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.Bytes) / float64(s.Instrs)
-}
-
-// RecordingStats returns the process-wide recording production counters.
-func RecordingStats() StreamCacheStats {
-	streamStats.Lock()
-	defer streamStats.Unlock()
-	return StreamCacheStats{
-		Recordings: streamStats.recordings,
-		Bytes:      streamStats.bytes,
-		Instrs:     streamStats.instrs,
-	}
-}
-
 // cachedRecording returns the shared recording of one workload window —
 // warmup+measure instructions starting at the post-fast-forward point —
 // producing it at most once across concurrent callers via the artifact
@@ -59,22 +23,22 @@ func RecordingStats() StreamCacheStats {
 // is cachedCheckpoint's, never repeated here). The outcome reports
 // whether this caller got the buffer from the store (hit or joined
 // flight) rather than recording it.
-func cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc *phaseCtx) (*stream.Recording, artifact.Outcome) {
+func (e *Engine) cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc *phaseCtx) (*stream.Recording, artifact.Outcome) {
 	n := p.Warmup + p.Measure
 	k := streamKey(spec.Name, p.Scale, p.FastForward, n)
 	callStart := time.Now()
-	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
+	v, oc := e.store.GetOrProduce(k, func() (any, int64) {
 		// Resolve the start-point image before entering the recording
 		// phase: cachedCheckpoint manages the building/checkpointing
 		// counters itself, so it must run while this worker still counts
 		// as "building".
 		var cpu *emu.CPU
 		if p.FastForward > 0 {
-			ck, _ := cachedCheckpoint(spec, cfg, p, tr, pc)
+			ck, _ := e.cachedCheckpoint(spec, cfg, p, tr, pc)
 			cpu = emu.New(ck.prog, ck.mem.Clone())
 			cpu.LoadArch(ck.arch)
 		} else {
-			inst := cloneInstance(cachedBuild(spec, p.Scale, pc))
+			inst := cloneInstance(e.cachedBuild(spec, p.Scale, pc))
 			cpu = emu.New(inst.Prog, inst.Mem)
 		}
 
@@ -88,11 +52,7 @@ func cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc 
 		tr.recEnd(d)
 		pc.add(PhaseRecord, d)
 
-		streamStats.Lock()
-		streamStats.recordings++
-		streamStats.bytes += int64(rec.Bytes())
-		streamStats.instrs += rec.N
-		streamStats.Unlock()
+		e.addRecording(int64(rec.Bytes()), rec.N)
 		return rec, int64(rec.Bytes())
 	})
 	if oc.Waited {
