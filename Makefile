@@ -36,6 +36,10 @@ fuzz:
 	$(GO) test -fuzz FuzzInstrString -fuzztime 15s ./internal/isa/
 	$(GO) test -fuzz FuzzReadWrite -fuzztime 15s ./internal/mem/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/stream/
+	$(GO) test -fuzz FuzzCOWAliasing -fuzztime 15s ./internal/mem/
+	$(GO) test -fuzz FuzzArchStateMatchesLive -fuzztime 30s ./internal/stream/
+	$(GO) test -fuzz FuzzCohortChunks -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzSubmitRequest -fuzztime 30s ./internal/grid/
 
 fmt:
 	gofmt -w .

@@ -120,13 +120,25 @@ type mshrEntry struct {
 	readyAt  int64
 }
 
+// SetCount is the one home of the set-associative geometry rule of
+// caches and TLBs: entries split into sets of ways, and the set count
+// must be a positive power of two. NewCache and NewTLB panic on a
+// violation; sim.CheckConfig reports it for configurations from outside
+// the process.
+func SetCount(entries, ways int) (int, error) {
+	if ways < 1 || entries < ways || (entries/ways)&(entries/ways-1) != 0 {
+		return 0, fmt.Errorf("bad geometry: %d entries in %d ways (want a power-of-two set count)", entries, ways)
+	}
+	return entries / ways, nil
+}
+
 // NewCache builds a cache of the given total size, associativity and MSHR
 // count. Size must be a power-of-two multiple of ways*LineSize.
 func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 	numLines := sizeBytes / LineSize
-	numSets := numLines / ways
-	if numSets == 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry size=%d ways=%d", name, sizeBytes, ways))
+	numSets, err := SetCount(numLines, ways)
+	if err != nil {
+		panic(fmt.Sprintf("cache %s: %v", name, err))
 	}
 	setBits := uint(0)
 	for 1<<setBits < numSets {

@@ -33,23 +33,27 @@ type Result struct {
 	Level      Level // where the data came from
 }
 
-// Config sizes the hierarchy. DefaultConfig matches Table III.
+// Config sizes the hierarchy. DefaultConfig matches Table III. The
+// check tags are the accepted ranges of configurations from outside the
+// process (sim.CheckConfig); the ways must also pass SetCount.
 type Config struct {
-	L1Size, L1Ways, L1MSHRs int
-	L1Latency               int64
-	L1ISize, L1IWays        int
-	L2Size, L2Ways          int
-	L2Latency               int64
+	L1Size, L1Ways int   `check:"1,16777216"`
+	L1MSHRs        int   `check:"1,1024"`
+	L1Latency      int64 `check:"0,65536"`
+	L1ISize        int   `check:"1,16777216"`
+	L1IWays        int
+	L2Size, L2Ways int   `check:"1,16777216"`
+	L2Latency      int64 `check:"0,65536"`
 
-	DTLBEntries           int
-	STLBEntries, STLBWays int
-	STLBLatency           int64
-	NumPTWs               int
-	WalkLatency           int64
+	DTLBEntries           int   `check:"1,4096"`
+	STLBEntries, STLBWays int   `check:"1,65536"`
+	STLBLatency           int64 `check:"0,65536"`
+	NumPTWs               int   `check:"1,256"`
+	WalkLatency           int64 `check:"0,65536"`
 
 	// StrideDegree is the baseline L1-D stride prefetcher's degree;
 	// 0 disables it.
-	StrideDegree int
+	StrideDegree int `check:"0,64"`
 
 	DRAM dram.Config
 }

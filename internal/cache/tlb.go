@@ -61,9 +61,9 @@ func (t *TLB) Register(r *metrics.Registry, prefix string) {
 // NewTLB builds a TLB with the given number of entries and associativity.
 // entries must be a multiple of ways and the set count a power of two.
 func NewTLB(name string, entries, ways int) *TLB {
-	numSets := entries / ways
-	if numSets == 0 || numSets&(numSets-1) != 0 {
-		panic("tlb: bad geometry")
+	numSets, err := SetCount(entries, ways)
+	if err != nil {
+		panic("tlb " + name + ": " + err.Error())
 	}
 	// Hint table sized ~8x the slot count (min 64, power of two): sparse
 	// enough that distinct resident pages rarely collide on a bucket.

@@ -19,16 +19,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes the core.
+// Config parameterizes the core. The check tags are the accepted ranges
+// of configurations from outside the process (sim.CheckConfig).
 type Config struct {
-	Width             int   // issue width (3)
-	Scoreboard        int   // in-flight instruction limit (32)
-	MemPorts          int   // load/store issue ports per cycle (2)
-	StoreBuffer       int   // store-buffer entries draining to L1 (8)
-	MispredictPenalty int64 // cycles (10)
+	Width             int   `check:"1,64"`    // issue width (3)
+	Scoreboard        int   `check:"1,4096"`  // in-flight instruction limit (32)
+	MemPorts          int   `check:"1,64"`    // load/store issue ports per cycle (2)
+	StoreBuffer       int   `check:"1,4096"`  // store-buffer entries draining to L1 (8)
+	MispredictPenalty int64 `check:"0,65536"` // cycles (10)
 
-	LatALU, LatMul, LatDiv, LatFPU int64
-	BPredTableBits                 uint
+	LatALU, LatMul, LatDiv, LatFPU int64 `check:"0,65536"`
+	BPredTableBits                 uint  `check:"0,20"`
 }
 
 // DefaultConfig mirrors Table III's in-order column.

@@ -22,17 +22,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes the core.
+// Config parameterizes the core. The check tags are the accepted ranges
+// of configurations from outside the process (sim.CheckConfig).
 type Config struct {
-	Width             int
-	ROB               int
-	RS                int
-	LSQ               int
-	MemPorts          int
-	MispredictPenalty int64
+	Width             int   `check:"1,64"`
+	ROB               int   `check:"1,4096"`
+	RS                int   `check:"1,4096"`
+	LSQ               int   `check:"1,4096"`
+	MemPorts          int   `check:"1,64"`
+	MispredictPenalty int64 `check:"0,65536"`
 
-	LatALU, LatMul, LatDiv, LatFPU int64
-	BPredTableBits                 uint
+	LatALU, LatMul, LatDiv, LatFPU int64 `check:"0,65536"`
+	BPredTableBits                 uint  `check:"0,20"`
 }
 
 // DefaultConfig mirrors Table III's out-of-order column.

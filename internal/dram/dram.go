@@ -13,7 +13,11 @@
 // regardless of the order the simulator discovers it in.
 package dram
 
-import "repro/internal/metrics"
+import (
+	"fmt"
+
+	"repro/internal/metrics"
+)
 
 // winBits is log2 of the ledger window size in cycles.
 const winBits = 6
@@ -67,13 +71,35 @@ func DefaultConfig() Config {
 	return Config{FreqGHz: 2.0, LatencyNS: 45, BandwidthGBps: 50, LineBytes: 64}
 }
 
+// transferFixed is one line's transfer time in fixed-point cycles.
+func (cfg Config) transferFixed() int64 {
+	cyclesPerLine := float64(cfg.LineBytes) / (cfg.BandwidthGBps * (1 << 30)) * cfg.FreqGHz * 1e9
+	return int64(cyclesPerLine*(1<<fixShift) + 0.5)
+}
+
+// Validate reports why cfg cannot model a channel: a non-positive clock,
+// line size or bandwidth, a negative or absurd latency, or a line
+// transfer longer than one ledger window, which the ledger would
+// silently undercount.
+func (cfg Config) Validate() error {
+	switch {
+	case !(cfg.FreqGHz > 0 && cfg.FreqGHz <= 100):
+		return fmt.Errorf("dram: FreqGHz %g outside (0, 100]", cfg.FreqGHz)
+	case !(cfg.LatencyNS >= 0 && cfg.LatencyNS <= 1e5):
+		return fmt.Errorf("dram: LatencyNS %g outside [0, 1e5]", cfg.LatencyNS)
+	case cfg.LineBytes < 1 || cfg.LineBytes > 4096:
+		return fmt.Errorf("dram: LineBytes %d outside [1, 4096]", cfg.LineBytes)
+	case !(cfg.BandwidthGBps > 0) || cfg.transferFixed() > int64(winCapacity):
+		return fmt.Errorf("dram: BandwidthGBps %g moves a line in more than one %d-cycle window", cfg.BandwidthGBps, 1<<winBits)
+	}
+	return nil
+}
+
 // New creates a channel from a configuration.
 func New(cfg Config) *Channel {
-	latency := int64(cfg.LatencyNS*cfg.FreqGHz + 0.5)
-	cyclesPerLine := float64(cfg.LineBytes) / (cfg.BandwidthGBps * (1 << 30)) * cfg.FreqGHz * 1e9
 	return &Channel{
-		LatencyCycles: latency,
-		transferFixed: int64(cyclesPerLine*(1<<fixShift) + 0.5),
+		LatencyCycles: int64(cfg.LatencyNS*cfg.FreqGHz + 0.5),
+		transferFixed: cfg.transferFixed(),
 		ring:          make([]int32, ringWindows),
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu/inorder"
+	"repro/internal/cpu/ooo"
+	"repro/internal/imp"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -132,20 +135,44 @@ func TestHTTPLifecycle(t *testing.T) {
 // it would panic the worker that builds it and take the server down;
 // the real executor runs here, so the follow-up job proves the server
 // still serves.
+// badConfigs are machine configurations a job body or state file must
+// not get past Submit: each one crashed a worker or simulated a wrong
+// Result before CheckConfig refused it.
+func badConfigs() map[string]sim.Config {
+	with := func(kind sim.CoreKind, f func(*sim.Config)) sim.Config {
+		cfg := sim.MachineConfig(kind)
+		f(&cfg)
+		return cfg
+	}
+	return map[string]sim.Config{
+		"core kind 9":         with(sim.InO, func(c *sim.Config) { c.Core = 9 }),
+		"all zero":            {Core: sim.InO, Label: "z"},
+		"no MSHRs":            with(sim.SVR, func(c *sim.Config) { c.Hier.L1MSHRs = 0 }),
+		"no walkers":          with(sim.InO, func(c *sim.Config) { c.Hier.NumPTWs = 0 }),
+		"zero InO for InO":    with(sim.InO, func(c *sim.Config) { c.InO = inorder.Config{} }),
+		"zero InO for IMP":    with(sim.IMP, func(c *sim.Config) { c.InO = inorder.Config{} }),
+		"zero InO for SVR":    with(sim.SVR, func(c *sim.Config) { c.InO = inorder.Config{} }),
+		"zero OoO":            with(sim.OoO, func(c *sim.Config) { c.OoO = ooo.Config{} }),
+		"zero IMP":            with(sim.IMP, func(c *sim.Config) { c.IMP = imp.Config{} }),
+		"3-way L1":            with(sim.InO, func(c *sim.Config) { c.Hier.L1Ways = 3 }),
+		"negative L1 latency": with(sim.InO, func(c *sim.Config) { c.Hier.L1Latency = -5 }),
+	}
+}
+
 func TestHTTPRejectsUnregisteredCore(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Engine: sim.NewEngine(nil), Workers: 1})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	bad := sim.MachineConfig(sim.InO)
-	bad.Core, bad.Label = 9, "kind9"
 	tiny := sim.Params{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 4_000}
-	resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
-		Grid: []sim.Config{bad}, Workloads: []string{"Randacc"}, Params: &tiny})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("core kind 9: status %d, want 400", resp.StatusCode)
+	for name, bad := range badConfigs() {
+		resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
+			Grid: []sim.Config{bad}, Workloads: []string{"BFS_KR"}, Params: &tiny})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 
 	st := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs", SubmitRequest{

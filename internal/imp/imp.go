@@ -20,12 +20,13 @@ import (
 	"repro/internal/mem"
 )
 
-// Config sizes the prefetcher.
+// Config sizes the prefetcher. The check tags are the accepted ranges of
+// configurations from outside the process (sim.CheckConfig).
 type Config struct {
-	StrideEntries int // index-load RPT entries
-	IPTEntries    int // indirect pattern table entries
-	Distance      int // indirect prefetch depth (16, as in the paper)
-	MaxShift      uint8
+	StrideEntries int   `check:"1,4096"` // index-load RPT entries
+	IPTEntries    int   `check:"1,4096"` // indirect pattern table entries
+	Distance      int   `check:"0,1024"` // indirect prefetch depth (16, as in the paper)
+	MaxShift      uint8 `check:"0,16"`
 	ConfMin       int
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
@@ -112,13 +113,80 @@ func RegisterMachine(kind CoreKind, f MachineFactory, needs StreamNeeds) {
 // kind.
 func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].needs }
 
-// CheckConfig reports an error unless a machine of cfg's core kind is
-// registered. Configurations from outside the process (served job
+// CheckConfig reports why cfg cannot be simulated faithfully: an
+// unregistered core kind, a cache or TLB geometry the constructors
+// reject, a bad DRAM channel, or a machine parameter outside the range
+// its `check:"lo,hi"` struct tag declares — zero where the model
+// divides or indexes by it, a negative latency, which would simulate
+// without error but report nonsense, or a size large enough to allocate
+// without limit. Configurations from outside the process (served job
 // bodies, the queue-state file) are checked before they are queued, so
-// a bad kind is refused at the door instead of failing a worker.
+// a bad one is refused at the door instead of crashing a worker or
+// returning a wrong Result.
 func CheckConfig(cfg Config) error {
-	_, err := factoryFor(cfg)
-	return err
+	if _, err := factoryFor(cfg); err != nil {
+		return err
+	}
+	h := cfg.Hier
+	for _, g := range []struct {
+		name          string
+		entries, ways int
+	}{
+		{"L1", h.L1Size / cache.LineSize, h.L1Ways}, {"L1I", h.L1ISize / cache.LineSize, h.L1IWays},
+		{"L2", h.L2Size / cache.LineSize, h.L2Ways}, {"DTLB", h.DTLBEntries, h.DTLBEntries},
+		{"STLB", h.STLBEntries, h.STLBWays},
+	} {
+		if _, err := cache.SetCount(g.entries, g.ways); err != nil {
+			return fmt.Errorf("sim: config %q: %s %w", cfg.Label, g.name, err)
+		}
+	}
+	if err := h.DRAM.Validate(); err != nil {
+		return fmt.Errorf("sim: config %q: %w", cfg.Label, err)
+	}
+	// The parts the core kind uses: IMP and SVR run on the in-order core.
+	parts := []any{h, cfg.InO}
+	switch cfg.Core {
+	case OoO:
+		parts[1] = cfg.OoO
+	case IMP:
+		parts = append(parts, cfg.IMP)
+	case SVR:
+		parts = append(parts, cfg.SVR)
+	}
+	for _, part := range parts {
+		if err := checkFields(reflect.ValueOf(part)); err != nil {
+			return fmt.Errorf("sim: config %q: %w", cfg.Label, err)
+		}
+	}
+	return nil
+}
+
+// checkFields reports the first integer field of the struct v outside
+// the range of its check tag.
+func checkFields(v reflect.Value) error {
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag.Get("check")
+		if tag == "" {
+			continue
+		}
+		var lo, hi int64
+		if _, err := fmt.Sscanf(tag, "%d,%d", &lo, &hi); err != nil {
+			panic(fmt.Sprintf("sim: bad check tag %q on %s", tag, v.Type().Field(i).Name))
+		}
+		f := v.Field(i)
+		x := int64(0)
+		if f.CanInt() {
+			x = f.Int()
+		} else if u := f.Uint(); u <= uint64(hi) {
+			x = int64(u)
+		} else {
+			x = hi + 1
+		}
+		if x < lo || x > hi {
+			return fmt.Errorf("%s.%s = %v outside [%d, %d]", v.Type(), v.Type().Field(i).Name, f, lo, hi)
+		}
+	}
+	return nil
 }
 
 func init() {

@@ -53,25 +53,28 @@ const (
 )
 
 // Options configures the engine. DefaultOptions matches the paper's
-// default SVR-16 configuration.
+// default SVR-16 configuration. The check tags are the accepted ranges
+// of configurations from outside the process (sim.CheckConfig); zeros
+// are accepted because Normalize raises them, and the enum ranges span
+// the declared modes and policies.
 type Options struct {
-	VectorLen int // N: scalars per scalar-vector (16 default, 8..128)
-	SRFRegs   int // K: speculative vector registers (8 default)
-	SDEntries int // stride-detector entries (32)
-	LBDSize   int // loop-bound detector entries (8)
+	VectorLen int `check:"0,1024"` // N: scalars per scalar-vector (16 default, 8..128)
+	SRFRegs   int `check:"0,256"`  // K: speculative vector registers (8 default)
+	SDEntries int `check:"0,4096"` // stride-detector entries (32)
+	LBDSize   int `check:"0,4096"` // loop-bound detector entries (8)
 
-	PRMTimeout     int // instructions before PRM force-terminates (256)
-	EWMACap        int // iteration count that forces an EWMA update (512)
-	StrideConfMin  int // saturating-counter threshold to call a load striding (2)
-	LoopBound      LoopBoundMode
-	Recycle        RecyclePolicy
-	WaitingMode    bool // §IV-A5; disabling is the §VI-D ablation
-	ScalarsPerSlot int  // scalars issued per issue slot (Fig 16; 1 default)
-	Width          int  // core issue width, for slot math (3)
+	PRMTimeout     int           `check:"0,1048576"` // instructions before PRM force-terminates (256)
+	EWMACap        int           // iteration count that forces an EWMA update (512)
+	StrideConfMin  int           // saturating-counter threshold to call a load striding (2)
+	LoopBound      LoopBoundMode `check:"0,5"`
+	Recycle        RecyclePolicy `check:"0,1"`
+	WaitingMode    bool          // §IV-A5; disabling is the §VI-D ablation
+	ScalarsPerSlot int           `check:"0,1024"` // scalars issued per issue slot (Fig 16; 1 default)
+	Width          int           `check:"0,64"`   // core issue width, for slot math (3)
 
 	// RegCopyCycles models DVR-style full register-file checkpointing on
 	// PRM entry (0 for SVR; §VI-D quantifies the cost).
-	RegCopyCycles int64
+	RegCopyCycles int64 `check:"0,65536"`
 
 	// PerLaneForwarding lets a dependent SVI lane start as soon as its
 	// own source lane is ready. The hardware of §IV-A4 gates dependents
