@@ -174,67 +174,62 @@ serve endpoints:
 `)
 }
 
-func expFlags(args []string) (sim.ExpParams, []string, error) {
+// runOpts is what run/all's flags ask of the report format and of the
+// observability around a sweep, one field per flag of the same name
+// (parsed by expFlags).
+type runOpts struct {
+	csv, json, metrics, cold               bool
+	timeseries, status, journal, gridtrace string
+}
+
+func expFlags(args []string) (sim.ExpParams, runOpts, error) {
+	var o runOpts
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	csvF := fs.Bool("csv", false, "emit tables as CSV")
-	jsonF := fs.Bool("json", false, "emit reports as JSON")
-	metricsF := fs.Bool("metrics", false, "emit reports as JSON with per-cell metric snapshots")
-	coldF := fs.Bool("cold", false, "disable the memoized run cache")
+	fs.BoolVar(&o.csv, "csv", false, "emit tables as CSV")
+	fs.BoolVar(&o.json, "json", false, "emit reports as JSON")
+	fs.BoolVar(&o.metrics, "metrics", false, "emit reports as JSON with per-cell metric snapshots")
+	fs.BoolVar(&o.cold, "cold", false, "disable the memoized run cache")
 	g := addGridFlags(fs)
-	tsF := fs.String("timeseries", "", "write per-interval counter samples of every cell to this CSV")
+	fs.StringVar(&o.timeseries, "timeseries", "", "write per-interval counter samples of every cell to this CSV")
 	sampleF := fs.Uint64("sample", 100_000, "sampling interval in instructions (with -timeseries)")
-	statusF := fs.String("status", "", "serve live scheduler status on this address (e.g. :6060)")
-	journalF := fs.String("journal", "", "stream the scheduler lifecycle journal (JSONL) to this file")
-	gridtraceF := fs.String("gridtrace", "", "write a Chrome/Perfetto trace of the scheduler run to this file")
+	fs.StringVar(&o.status, "status", "", "serve live scheduler status on this address (e.g. :6060)")
+	fs.StringVar(&o.journal, "journal", "", "stream the scheduler lifecycle journal (JSONL) to this file")
+	fs.StringVar(&o.gridtrace, "gridtrace", "", "write a Chrome/Perfetto trace of the scheduler run to this file")
 	if err := fs.Parse(args); err != nil {
-		return sim.ExpParams{}, nil, err
+		return sim.ExpParams{}, runOpts{}, err
 	}
 	pp, wls, err := g.params(sim.DefaultParams())
 	if err != nil {
-		return sim.ExpParams{}, nil, err
+		return sim.ExpParams{}, runOpts{}, err
 	}
 	p := sim.ExpParams{Params: pp, Workloads: wls}
-	csvMode = *csvF
-	jsonMode = *jsonF || *metricsF // -metrics is JSON output with snapshots
-	metricsMode = *metricsF
-	coldMode = *coldF
-	timeseriesPath = *tsF
-	statusAddr = *statusF
-	journalPath = *journalF
-	gridtracePath = *gridtraceF
-	if timeseriesPath != "" {
+	o.json = o.json || o.metrics // -metrics is JSON output with snapshots
+	if o.timeseries != "" {
 		p.SampleEvery = *sampleF
 	}
-	return p, fs.Args(), nil
+	return p, o, nil
 }
-
-// csvMode / jsonMode switch run/all output format; metricsMode keeps
-// per-cell metric snapshots in the JSON; coldMode disables the run cache;
-// timeseriesPath collects per-cell interval samples into a CSV;
-// statusAddr serves the live scheduler status (all set by expFlags).
-var csvMode, jsonMode, metricsMode, coldMode bool
-var timeseriesPath, statusAddr, journalPath, gridtracePath string
 
 // reportJSON renders r for -json. Every report carries its cells'
 // metric snapshots; they are bulky, so the JSON keeps them only with
 // -metrics.
-func reportJSON(r *sim.Report) ([]byte, error) {
-	if !metricsMode {
+func reportJSON(r *sim.Report, o runOpts) ([]byte, error) {
+	if !o.metrics {
 		r.CellMetrics = nil
 	}
 	return r.JSON()
 }
 
-func printReport(w io.Writer, r *sim.Report) error {
-	if jsonMode {
-		blob, err := reportJSON(r)
+func printReport(w io.Writer, r *sim.Report, o runOpts) error {
+	if o.json {
+		blob, err := reportJSON(r, o)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%s\n", blob)
 		return nil
 	}
-	if csvMode {
+	if o.csv {
 		fmt.Fprint(w, r.CSV())
 		return nil
 	}
@@ -323,19 +318,19 @@ func startProgressTicker(curExp *string, eng *sim.Engine) func() {
 // startRun builds run/all's engine and scheduler from the parsed flags:
 // the progress line, -cold, -journal/-gridtrace and -status. The
 // returned stop tears them down.
-func startRun(curExp *string) (*sim.Engine, *grid.Scheduler, func()) {
-	jn, stopJournal := startRunJournal()
+func startRun(curExp *string, o runOpts) (*sim.Engine, *grid.Scheduler, func()) {
+	jn, stopJournal := startRunJournal(o)
 	var eng *sim.Engine
 	eng = sim.NewEngine(runObserver{Journal: jn,
 		progress: progressPrinter(curExp, func() sim.GridStatus { return eng.Status() })})
-	if coldMode {
+	if o.cold {
 		eng.Artifacts().SetClassEnabled(artifact.Result, false)
 	}
 	sched := grid.New(grid.Options{Engine: eng})
 	stopTicker := startProgressTicker(curExp, eng)
 	stopStatus := func() {}
-	if statusAddr != "" {
-		bound, shutdown, err := startStatusServer(statusAddr, eng)
+	if o.status != "" {
+		bound, shutdown, err := startStatusServer(o.status, eng)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svrsim: status server: %v\n", err)
 		} else {
@@ -364,17 +359,17 @@ func startRun(curExp *string) (*sim.Engine, *grid.Scheduler, func()) {
 // trace and flushes everything. With neither flag set the journal is
 // nil — the observability-off default, whose stdout is byte-identical to
 // a run without these flags.
-func startRunJournal() (*grid.Journal, func()) {
-	if journalPath == "" && gridtracePath == "" {
+func startRunJournal(o runOpts) (*grid.Journal, func()) {
+	if o.journal == "" && o.gridtrace == "" {
 		return nil, func() {}
 	}
 	cfg := grid.JournalConfig{}
-	if gridtracePath != "" {
+	if o.gridtrace != "" {
 		cfg.Capture = -1 // the trace needs the whole stream
 	}
 	var jf *os.File
-	if journalPath != "" {
-		f, err := os.Create(journalPath)
+	if o.journal != "" {
+		f, err := os.Create(o.journal)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svrsim: journal: %v\n", err)
 		} else {
@@ -387,8 +382,8 @@ func startRunJournal() (*grid.Journal, func()) {
 	}
 	jn := grid.NewJournal(cfg)
 	return jn, func() {
-		if gridtracePath != "" {
-			if f, err := os.Create(gridtracePath); err != nil {
+		if o.gridtrace != "" {
+			if f, err := os.Create(o.gridtrace); err != nil {
 				fmt.Fprintf(os.Stderr, "svrsim: gridtrace: %v\n", err)
 			} else {
 				if err := grid.WriteTrace(f, jn.Events()); err != nil {
@@ -447,7 +442,7 @@ func cmdRun(w io.Writer, args []string) error {
 		return fmt.Errorf("run: missing experiment id")
 	}
 	id := args[0]
-	p, _, err := expFlags(args[1:])
+	p, o, err := expFlags(args[1:])
 	if err != nil {
 		return err
 	}
@@ -455,33 +450,33 @@ func cmdRun(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	_, sched, stop := startRun(&id)
+	_, sched, stop := startRun(&id, o)
 	defer stop()
 	r := e.Run(sched.RunMatrix, p)
-	if err := printReport(w, r); err != nil {
+	if err := printReport(w, r, o); err != nil {
 		return err
 	}
-	if timeseriesPath != "" {
-		return writeSeriesCSV(timeseriesPath, r.CellSeries)
+	if o.timeseries != "" {
+		return writeSeriesCSV(o.timeseries, r.CellSeries)
 	}
 	return nil
 }
 
 func cmdAll(w io.Writer, args []string) error {
-	p, _, err := expFlags(args)
+	p, o, err := expFlags(args)
 	if err != nil {
 		return err
 	}
 	var curExp string
-	eng, sched, stop := startRun(&curExp)
+	eng, sched, stop := startRun(&curExp, o)
 	defer stop()
 	var seriesCells []sim.CellSeries
-	if jsonMode {
+	if o.json {
 		var blobs []json.RawMessage
 		for _, e := range sim.Experiments() {
 			curExp = e.ID
 			r := e.Run(sched.RunMatrix, p)
-			blob, err := reportJSON(r)
+			blob, err := reportJSON(r, o)
 			if err != nil {
 				return err
 			}
@@ -497,15 +492,15 @@ func cmdAll(w io.Writer, args []string) error {
 		for _, e := range sim.Experiments() {
 			curExp = e.ID
 			r := e.Run(sched.RunMatrix, p)
-			if err := printReport(w, r); err != nil {
+			if err := printReport(w, r, o); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
 			seriesCells = append(seriesCells, r.CellSeries...)
 		}
 	}
-	if timeseriesPath != "" {
-		if err := writeSeriesCSV(timeseriesPath, seriesCells); err != nil {
+	if o.timeseries != "" {
+		if err := writeSeriesCSV(o.timeseries, seriesCells); err != nil {
 			return err
 		}
 	}
@@ -539,7 +534,7 @@ func cmdWorkload(w io.Writer, args []string) error {
 		p.Measure = *measure
 	}
 
-	cfg, err := coreConfig(*coreF, *n)
+	cfg, err := parseCore(*coreF, *n)
 	if err != nil {
 		return err
 	}
@@ -579,20 +574,14 @@ func cmdWorkload(w io.Writer, args []string) error {
 	return nil
 }
 
-// coreConfig resolves the -core/-n flag pair shared by the workload and
-// metrics subcommands.
-func coreConfig(core string, n int) (sim.Config, error) {
-	switch core {
-	case "inorder":
-		return sim.MachineConfig(sim.InO), nil
-	case "imp":
-		return sim.MachineConfig(sim.IMP), nil
-	case "ooo":
-		return sim.MachineConfig(sim.OoO), nil
-	case "svr":
-		return sim.SVRConfig(n), nil
+// parseCore resolves the -core/-n flag pair shared by the workload and
+// metrics subcommands through grid.ParseConfig: "svr" takes its vector
+// length from -n.
+func parseCore(core string, n int) (sim.Config, error) {
+	if core == "svr" {
+		core = fmt.Sprintf("svr%d", n)
 	}
-	return sim.Config{}, fmt.Errorf("unknown core %q", core)
+	return grid.ParseConfig(core)
 }
 
 // cmdMetrics runs one workload on one machine and dumps the machine's
@@ -623,7 +612,7 @@ func cmdMetrics(w io.Writer, args []string) error {
 	if *warmup > 0 {
 		p.Warmup = *warmup
 	}
-	cfg, err := coreConfig(*coreF, *n)
+	cfg, err := parseCore(*coreF, *n)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,6 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunCSVMode(t *testing.T) {
 	out := runCmd(t, "run", "table2", "-csv")
-	csvMode = false // reset the global for other tests
 	if !strings.Contains(out, "config,bits,KiB") {
 		t.Errorf("csv output:\n%s", out)
 	}
@@ -129,7 +128,6 @@ func TestRunExperimentQuickSubset(t *testing.T) {
 
 func TestRunJSONMode(t *testing.T) {
 	out := runCmd(t, "run", "table2", "-json")
-	jsonMode = false // reset the global for other tests
 	var rep struct {
 		ID     string
 		Values map[string]float64
@@ -145,7 +143,6 @@ func TestRunJSONMode(t *testing.T) {
 
 func TestRunColdMode(t *testing.T) {
 	out := runCmd(t, "run", "fig3", "-quick", "-cold", "-workloads", "NAS-IS")
-	coldMode = false // reset the global for other tests
 	if !strings.Contains(out, "mem-dram CPI") {
 		t.Errorf("fig3 -cold output:\n%s", out)
 	}
@@ -223,7 +220,6 @@ func TestMetricsCommandJSONRoundTrip(t *testing.T) {
 // report as JSON with one registry snapshot per scheduler cell.
 func TestRunMetricsFlag(t *testing.T) {
 	out := runCmd(t, "run", "fig3", "-quick", "-metrics", "-workloads", "NAS-IS")
-	jsonMode, metricsMode = false, false // reset globals for other tests
 	var rep struct {
 		ID          string
 		CellMetrics []struct {

@@ -175,7 +175,6 @@ func TestRunTimeseriesFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ts.csv")
 	runCmd(t, "run", "fig3", "-quick", "-workloads", "NAS-IS",
 		"-timeseries", path, "-sample", "50000")
-	timeseriesPath = "" // reset the global for other tests
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

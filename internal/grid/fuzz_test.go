@@ -5,16 +5,18 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/graphs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
 // FuzzSubmitRequest: no job body can crash the service or queue a
-// machine that cannot be built. A body goes through the POST /api/jobs
-// path — strict decode, resolve, Submit on a scheduler with a stub
-// executor — and may be refused at any step, but never panics; every
-// configuration Submit accepts must build with sim.NewMachine over a
-// TinyScale image.
+// machine or window that cannot be simulated. A body goes through the
+// POST /api/jobs path — strict decode, resolve, Submit on a scheduler
+// with a stub executor — and may be refused at any step, but never
+// panics; every configuration Submit accepts must build with
+// sim.NewMachine over a TinyScale image, and every small input scale it
+// accepts must build the job's workloads at exactly the requested size.
 func FuzzSubmitRequest(f *testing.F) {
 	f.Add([]byte(`{"grid":[{"Core":0,"Label":"z"}],"workloads":["BFS_KR"]}`))
 	f.Add([]byte(`{"configs":["inorder","imp","ooo","svr16"],"workloads":["BFS_KR","HJ2"],"preset":"quick"}`))
@@ -24,8 +26,16 @@ func FuzzSubmitRequest(f *testing.F) {
 	for _, cfg := range badConfigs() {
 		grids = append(grids, cfg)
 	}
+	var bodies []SubmitRequest
 	for _, cfg := range grids {
-		blob, err := json.Marshal(SubmitRequest{Grid: []sim.Config{cfg}, Workloads: []string{"BFS_KR"}})
+		bodies = append(bodies, SubmitRequest{Grid: []sim.Config{cfg}, Workloads: []string{"BFS_KR"}})
+	}
+	for _, p := range badParams() {
+		p := p
+		bodies = append(bodies, SubmitRequest{Configs: []string{"inorder"}, Workloads: []string{"BFS_KR", "HJ2"}, Params: &p})
+	}
+	for _, body := range bodies {
+		blob, err := json.Marshal(body)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -36,9 +46,6 @@ func FuzzSubmitRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	image := spec.Build(workloads.TinyScale())
-	stub := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var sr SubmitRequest
@@ -51,7 +58,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		s := New(Options{Engine: sim.NewEngine(nil), Workers: 1, Execute: stub})
+		s := New(Options{Engine: sim.NewEngine(nil), Workers: 1, ExecuteGroup: perCell(stubCell)})
 		defer s.Shutdown()
 		if _, err := s.Submit(req); err != nil {
 			return
@@ -62,6 +69,23 @@ func FuzzSubmitRequest(f *testing.F) {
 			if _, err := sim.NewMachine(cfg, &inst); err != nil {
 				t.Errorf("accepted config %q does not build: %v", cfg.Label, err)
 			}
+		}
+		// Inputs small enough to build here must build, at the size asked
+		// for: the graph generators round a vertex count up to a power of
+		// two, which would silently simulate a different input.
+		sc := req.Params.Scale
+		if sc.GraphNodes > 1<<12 || sc.Elems > 1<<14 {
+			return
+		}
+		specs, err := ResolveWorkloads(req.Workloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range specs {
+			sp.Build(sc)
+		}
+		if g := graphs.Generate(graphs.KR, sc.GraphNodes, sc.Seed); g.NumNodes != sc.GraphNodes {
+			t.Errorf("accepted GraphNodes = %d builds a %d-vertex graph", sc.GraphNodes, g.NumNodes)
 		}
 	})
 }

@@ -44,9 +44,9 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 // by config name, stream NDJSON results, poll status, list, and observe
 // the artifact/scheduler status payloads.
 func TestHTTPLifecycle(t *testing.T) {
-	s := New(Options{Workers: 2, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 2, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		return stubResult(req), sim.CellOutcome{Replayed: true}
-	}})
+	})})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -130,11 +130,6 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsUnregisteredCore: a Grid config naming a core kind no
-// machine is registered for is refused with a 400 at submit. Accepted,
-// it would panic the worker that builds it and take the server down;
-// the real executor runs here, so the follow-up job proves the server
-// still serves.
 // badConfigs are machine configurations a job body or state file must
 // not get past Submit: each one crashed a worker or simulated a wrong
 // Result before CheckConfig refused it.
@@ -159,6 +154,30 @@ func badConfigs() map[string]sim.Config {
 	}
 }
 
+// badParams are windows a job body or state file must not get past
+// Submit: each one crashed a worker or simulated a wrong Result before
+// CheckParams refused it. A job over BFS_KR and HJ2 covers both input
+// kinds, graphs and arrays.
+func badParams() map[string]sim.Params {
+	with := func(f func(*workloads.Scale)) sim.Params {
+		p := sim.Params{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 4_000}
+		f(&p.Scale)
+		return p
+	}
+	return map[string]sim.Params{
+		"zero scale":     with(func(s *workloads.Scale) { s.GraphNodes, s.Elems = 0, 0 }),
+		"1000 elems":     with(func(s *workloads.Scale) { s.Elems = 1000 }),
+		"zero nodes":     with(func(s *workloads.Scale) { s.GraphNodes = 0 }),
+		"negative nodes": with(func(s *workloads.Scale) { s.GraphNodes = -5 }),
+	}
+}
+
+// TestHTTPRejectsUnregisteredCore: a Grid config naming an unknown core
+// kind, or any other machine or window the simulator cannot model, is
+// refused with a 400 at submit. Accepted, it would panic the worker that
+// builds it and take the server down, or return a wrong Result; the real
+// executor runs here, so the follow-up job proves the server still
+// serves.
 func TestHTTPRejectsUnregisteredCore(t *testing.T) {
 	s := New(Options{Engine: sim.NewEngine(nil), Workers: 1})
 	defer s.Shutdown()
@@ -169,6 +188,14 @@ func TestHTTPRejectsUnregisteredCore(t *testing.T) {
 	for name, bad := range badConfigs() {
 		resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
 			Grid: []sim.Config{bad}, Workloads: []string{"BFS_KR"}, Params: &tiny})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	for name, p := range badParams() {
+		resp := postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
+			Configs: []string{"inorder"}, Workloads: []string{"BFS_KR", "HJ2"}, Params: &p})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
@@ -199,9 +226,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // TestHTTPSSE: the SSE framing wraps each cell in an event and finishes
 // with a done event carrying the job status.
 func TestHTTPSSE(t *testing.T) {
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}})
+	s := New(Options{Workers: 1, ExecuteGroup: perCell(stubCell)})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -232,11 +257,11 @@ func TestHTTPSSE(t *testing.T) {
 func TestHTTPBackpressure(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, QueueCap: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, QueueCap: 1, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
+		return stubCell(req)
+	})})
 	defer func() { close(release); s.Shutdown() }()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -267,17 +292,18 @@ func TestHTTPBackpressure(t *testing.T) {
 func TestHTTPCancelResume(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
+		return stubCell(req)
+	})})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
+	// Three workloads: three separately scheduled cells.
 	st := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
-		Configs: []string{"inorder", "imp", "ooo"}, Workloads: []string{"Randacc"},
+		Configs: []string{"inorder"}, Workloads: []string{"Randacc", "HJ2", "PR_KR"},
 	}))
 	<-started
 	cst := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs/"+st.ID+"/cancel", nil))

@@ -83,12 +83,10 @@ func TestJournalCapture(t *testing.T) {
 func TestJournalSchedulerLifecycle(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(JournalConfig{Writer: &buf, Capture: -1})
-	s := New(Options{Engine: sim.NewEngine(j), Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}})
+	s := New(Options{Engine: sim.NewEngine(j), Workers: 1, ExecuteGroup: perCell(stubCell)})
 	defer s.Shutdown()
 	job, err := s.Submit(JobRequest{Name: "lifecycle", Configs: labeled("A"),
-		Workloads: []string{"Randacc", "HJ2"}})
+		Workloads: []string{"Randacc", "HJ2"}, Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

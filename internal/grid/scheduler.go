@@ -36,23 +36,18 @@ type Options struct {
 	// QueueCap bounds the number of queued cells across all jobs
 	// (default 4096); Submit returns *ErrQueueFull past it.
 	QueueCap int
-	// Execute, when injected without ExecuteGroup, runs one cell at a
-	// time (tests inject a stub to exercise per-cell scheduling without
-	// simulating).
-	Execute func(sim.CellRequest, *sim.Tracker) (sim.Result, sim.CellOutcome)
 	// ExecuteGroup runs one schedulable group — a timing cohort of
 	// sibling cells stepped in lockstep, or a single cell. Default
-	// sim.ExecuteCohort; when only Execute is injected, groups fall
-	// back to a per-cell loop over it.
+	// sim.ExecuteCohort; tests inject a stub to schedule without
+	// simulating.
 	ExecuteGroup func([]sim.CellRequest, *sim.Tracker) ([]sim.Result, []sim.CellOutcome)
 }
 
 // Scheduler owns the queue, the worker pool and the job table.
 type Scheduler struct {
-	opts  Options
-	jn    *Journal // the engine observer's journal, nil if none
-	group bool     // plan cohort groups (false when only a per-cell Execute stub is injected)
-	q     *queue
+	opts Options
+	jn   *Journal // the engine observer's journal, nil if none
+	q    *queue
 
 	obs *schedMetrics // queue-wait and per-phase latency histograms
 
@@ -73,33 +68,15 @@ func New(opts Options) *Scheduler {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = 4096
 	}
-	// A per-cell Execute stub (tests) keeps per-cell scheduling: cells
-	// queue and cancel one at a time, exactly as before cohorts. The
-	// real executor — or an injected ExecuteGroup — schedules whole
-	// cohorts as units.
-	group := opts.ExecuteGroup != nil || opts.Execute == nil
 	if opts.ExecuteGroup == nil {
-		if opts.Execute != nil {
-			ex := opts.Execute
-			opts.ExecuteGroup = func(reqs []sim.CellRequest, tr *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
-				results := make([]sim.Result, len(reqs))
-				outs := make([]sim.CellOutcome, len(reqs))
-				for i, r := range reqs {
-					results[i], outs[i] = ex(r, tr)
-				}
-				return results, outs
-			}
-		} else {
-			opts.ExecuteGroup = sim.ExecuteCohort
-		}
+		opts.ExecuteGroup = sim.ExecuteCohort
 	}
 	s := &Scheduler{
-		opts:  opts,
-		jn:    journalOf(opts.Engine.Observer()),
-		group: group,
-		q:     newQueue(opts.QueueCap),
-		jobs:  map[string]*Job{},
-		obs:   newSchedMetrics(),
+		opts: opts,
+		jn:   journalOf(opts.Engine.Observer()),
+		q:    newQueue(opts.QueueCap),
+		jobs: map[string]*Job{},
+		obs:  newSchedMetrics(),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -179,25 +156,6 @@ func outcomeNote(out sim.CellOutcome) string {
 	return "simulated"
 }
 
-// plan turns cell indexes (nil means all) into queue groups: timing
-// cohorts for the real executor, one cell per group for per-cell stubs.
-func (s *Scheduler) plan(cells []sim.CellRequest, idx []int) [][]int {
-	if s.group {
-		return sim.PlanCohorts(cells, idx)
-	}
-	if idx == nil {
-		idx = make([]int, len(cells))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	groups := make([][]int, len(idx))
-	for k, i := range idx {
-		groups[k] = []int{i}
-	}
-	return groups
-}
-
 // JobRequest is a submission: a grid of full machine configurations
 // against named workloads. Configuration labels must be unique within
 // one job (they key the result rows).
@@ -258,6 +216,9 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("grid: job has no workloads")
 	}
+	if err := sim.CheckParams(req.Params); err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{}
 	for _, c := range req.Configs {
 		if err := sim.CheckConfig(c); err != nil {
@@ -291,7 +252,7 @@ func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []work
 	}
 	job.mu.Unlock()
 	// Adjacent single-window siblings queue as one lockstep cohort.
-	if err := s.q.push(job, s.plan(job.cells, nil)); err != nil {
+	if err := s.q.push(job, sim.PlanCohorts(job.cells, nil)); err != nil {
 		job.mu.Lock()
 		job.queued = map[int]struct{}{}
 		job.closeTrackerLocked()
@@ -415,7 +376,7 @@ func (s *Scheduler) Resume(id string) error {
 	}
 	job.mu.Unlock()
 
-	if err := s.q.push(job, s.plan(job.cells, todo)); err != nil {
+	if err := s.q.push(job, sim.PlanCohorts(job.cells, todo)); err != nil {
 		job.mu.Lock()
 		job.state = StateCanceled
 		job.queued = map[int]struct{}{}

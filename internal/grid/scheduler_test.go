@@ -27,20 +27,41 @@ func stubResult(req sim.CellRequest) sim.Result {
 	return sim.Result{Workload: req.Spec.Name, Label: req.Cfg.Label, Instrs: req.P.Measure}
 }
 
+// stubCell is the per-cell stub that completes at once.
+func stubCell(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
+	return stubResult(req), sim.CellOutcome{}
+}
+
+// perCell adapts a per-cell stub to Options.ExecuteGroup, so the
+// scheduler plans and queues cohorts exactly as in production while the
+// stub sees each member in turn. Tests that need cells scheduled
+// separately give them different workloads.
+func perCell(ex func(sim.CellRequest) (sim.Result, sim.CellOutcome)) func([]sim.CellRequest, *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+	return func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+		results := make([]sim.Result, len(reqs))
+		outs := make([]sim.CellOutcome, len(reqs))
+		for i, r := range reqs {
+			results[i], outs[i] = ex(r)
+		}
+		return results, outs
+	}
+}
+
 // TestPriorityOrdering: with one worker pinned by a running cell, later
 // submissions drain strictly by priority (high first), not FIFO.
 func TestPriorityOrdering(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		started <- req.Cfg.Label
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
+		return stubCell(req)
+	})})
 	defer s.Shutdown()
 
 	submit := func(label string, pri int) *Job {
-		j, err := s.Submit(JobRequest{Name: label, Priority: pri, Configs: labeled(label), Workloads: []string{"Randacc"}})
+		j, err := s.Submit(JobRequest{Name: label, Priority: pri, Configs: labeled(label), Workloads: []string{"Randacc"},
+			Params: sim.QuickParams()})
 		if err != nil {
 			t.Fatalf("submit %s: %v", label, err)
 		}
@@ -72,14 +93,14 @@ func TestPriorityOrdering(t *testing.T) {
 // rejected atomically with the typed error.
 func TestQueueBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, QueueCap: 3, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, QueueCap: 3, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
+		return stubCell(req)
+	})})
 	defer func() { close(release); s.Shutdown() }()
 
 	// Pin the worker so queued cells stay queued.
-	pin, err := s.Submit(JobRequest{Configs: labeled("pin"), Workloads: []string{"Randacc"}})
+	pin, err := s.Submit(JobRequest{Configs: labeled("pin"), Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +114,7 @@ func TestQueueBackpressure(t *testing.T) {
 	for _, l := range []string{"a", "b", "c", "d"} {
 		cfgs = append(cfgs, labeled(l)[0])
 	}
-	_, err = s.Submit(JobRequest{Configs: cfgs, Workloads: []string{"Randacc"}})
+	_, err = s.Submit(JobRequest{Configs: cfgs, Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 	var full *ErrQueueFull
 	if !errors.As(err, &full) {
 		t.Fatalf("submit past capacity: err = %v, want *ErrQueueFull", err)
@@ -115,17 +136,15 @@ func TestQueueBackpressure(t *testing.T) {
 // and completes the job.
 func TestCancelResume(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
+		return stubCell(req)
+	})})
 	defer s.Shutdown()
 
-	var cfgs []sim.Config
-	for _, l := range []string{"c0", "c1", "c2"} {
-		cfgs = append(cfgs, labeled(l)[0])
-	}
-	j, err := s.Submit(JobRequest{Name: "cr", Configs: cfgs, Workloads: []string{"Randacc"}})
+	// Three workloads: three separately scheduled cells.
+	j, err := s.Submit(JobRequest{Name: "cr", Configs: labeled("c"), Workloads: []string{"Randacc", "HJ2", "PR_KR"},
+		Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +261,16 @@ func TestCrossJobDedup(t *testing.T) {
 func TestSaveLoadState(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: perCell(func(req sim.CellRequest) (sim.Result, sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
-	}})
-	// Two cells on one worker: the first drains during shutdown, the
-	// second is still queued — so the job is unfinished and persists.
+		return stubCell(req)
+	})})
+	// Two separately scheduled cells on one worker: the first drains
+	// during shutdown, the second is still queued — so the job is
+	// unfinished and persists.
 	if _, err := s.Submit(JobRequest{Name: "keep", Priority: 2,
-		Configs: []sim.Config{sim.SVRConfig(16), sim.SVRConfig(32)}, Workloads: []string{"Randacc"},
+		Configs: []sim.Config{sim.SVRConfig(16)}, Workloads: []string{"Randacc", "HJ2"},
 		Params: sim.QuickParams()}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +288,7 @@ func TestSaveLoadState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}
-	s2 := New(Options{Workers: 1, Execute: done})
+	s2 := New(Options{Workers: 1, ExecuteGroup: perCell(stubCell)})
 	defer s2.Shutdown()
 	n, err := s2.LoadState(path)
 	if err != nil {
@@ -294,11 +311,19 @@ func TestSaveLoadState(t *testing.T) {
 		t.Errorf("missing state file: n=%d err=%v", n, err)
 	}
 
-	// A state file naming a configuration Submit would refuse is refused
-	// at restore, before anything reaches a worker.
-	for name, bad := range badConfigs() {
-		blob, err := json.Marshal(persistedState{Jobs: []persistedJob{{Name: "bad",
-			Configs: []sim.Config{bad}, Workloads: []string{"Randacc"}, Params: sim.QuickParams()}}})
+	// A state file naming a configuration or window Submit would refuse
+	// is refused at restore, before anything reaches a worker.
+	bad := map[string]persistedJob{}
+	for name, cfg := range badConfigs() {
+		bad[name] = persistedJob{Name: "bad", Configs: []sim.Config{cfg},
+			Workloads: []string{"Randacc"}, Params: sim.QuickParams()}
+	}
+	for name, p := range badParams() {
+		bad[name] = persistedJob{Name: "bad", Configs: []sim.Config{sim.MachineConfig(sim.InO)},
+			Workloads: []string{"BFS_KR", "HJ2"}, Params: p}
+	}
+	for name, pj := range bad {
+		blob, err := json.Marshal(persistedState{Jobs: []persistedJob{pj}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/cache"
 	"repro/internal/dram"
+	"repro/internal/stream"
 	"repro/internal/workloads"
 )
 
@@ -78,41 +79,68 @@ func (o CellOutcome) FromStore() bool { return o.Cached || o.Shared }
 
 // simulateRegionCell runs a multi-region cell. A recording cannot span
 // the fast-forward gaps between its detailed regions, so the cell steps
-// a live emulator through the region schedule; with FastForward set the
-// first fast-forward is shared across cells as a checkpoint
-// (cachedCheckpoint) and the cell resumes from a clone of its frozen
-// image. Phase attribution: the timing window is measured around
-// SimulateFrom, shared productions attribute inside the cached helpers,
-// and whatever wall time remains is banked as build — so the per-cell
-// sum tracks the cell's measured wall.
+// a live emulator through the region schedule from its window start
+// (startMachine). Phase attribution: the timing window is measured
+// around SimulateFrom, shared productions attribute inside the cached
+// helpers, and whatever wall time remains is banked as build — so the
+// per-cell sum tracks the cell's measured wall.
 func (e *Engine) simulateRegionCell(req CellRequest, tr *Tracker, out *CellOutcome, pc *phaseCtx) Result {
-	cfg, spec, p := req.Cfg, req.Spec, req.P
 	t0 := time.Now()
 	base := pc.ph.Total()
 	tr.phase(+1, 0)
-	var m Machine
-	var err error
-	if p.FastForward > 0 {
-		ck, co := e.cachedCheckpoint(spec, cfg, p, tr, pc)
-		out.CkptFromStore = co.FromStore()
-		m, err = NewMachineFrom(cfg, ck)
-	} else {
-		m, err = NewMachine(cfg, cloneInstance(e.cachedBuild(spec, p.Scale, pc)))
-	}
-	if err != nil {
-		panic(err)
-	}
+	m := e.startMachine(req, nil, out, tr, pc)
 	tr.phase(-1, +1)
 	tt := time.Now()
 	// Without a fast-forward SimulateFrom's skipped first fast-forward
 	// is empty anyway, so it drives both starts.
-	res := SimulateFrom(m, p)
+	res := SimulateFrom(m, req.P)
 	pc.add(PhaseTiming, time.Since(tt))
 	tr.phase(0, -1)
 	if rest := time.Since(t0) - (pc.ph.Total() - base); rest > 0 {
 		pc.add(PhaseBuild, rest)
 	}
 	return res
+}
+
+// startMachine is how every grid cell's machine is built: positioned at
+// its window start, over the built image or restored from the shared
+// post-fast-forward checkpoint (windowStart). rec is the recording a
+// cohort member steps, nil for a live multi-region cell. A machine that
+// touches memory gets a private copy-on-write clone: a live cell's
+// emulator writes it, an IMP or SVR member reads it through its arch
+// view. In-order and out-of-order cohort members share the frozen image,
+// which nothing in them reads or writes.
+func (e *Engine) startMachine(req CellRequest, rec *stream.Recording, out *CellOutcome, tr *Tracker, pc *phaseCtx) Machine {
+	inst, ck, co := e.windowStart(req.Spec, req.Cfg, req.P, tr, pc)
+	out.CkptFromStore = co.FromStore()
+	view := rec != nil && req.Cfg.Core.needsArchView()
+	if rec == nil || view {
+		inst = cloneInstance(inst)
+	}
+	m, err := NewMachine(req.Cfg, inst)
+	if err != nil {
+		panic(err)
+	}
+	if ck != nil {
+		m.Restore(ck)
+	}
+	if view {
+		m.(*inOrderMachine).attachArchView(stream.NewArchView(rec, inst.Mem))
+	}
+	return m
+}
+
+// windowStart resolves the frozen image a window starts from: with a
+// fast-forward, the shared checkpoint's instance (ck restores the
+// architectural and warmed state over it), else the built image. The
+// outcome is the checkpoint lookup's, zero without one. Callers clone
+// the image before anything writes it.
+func (e *Engine) windowStart(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc *phaseCtx) (*workloads.Instance, *Checkpoint, artifact.Outcome) {
+	if p.FastForward == 0 {
+		return e.cachedBuild(spec, p.Scale, pc), nil, artifact.Outcome{}
+	}
+	ck, co := e.cachedCheckpoint(spec, cfg, p, tr, pc)
+	return ck.inst, ck, co
 }
 
 // cachedBuild returns the memoized image for (spec, sc), building it at

@@ -5,30 +5,25 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/stream"
 	"repro/internal/workloads"
 )
 
 // Checkpoint is a resumable machine image taken after a fast-forward:
-// the architectural register state plus a copy-on-write clone of the
-// memory, and — when the fast-forward functionally warmed — deep
-// snapshots of the cache-hierarchy and branch-predictor state. One
-// checkpoint fans out to many cells: every restore clones the frozen
-// memory again, so sibling machines mutate memory independently.
-// Timing state (MSHRs, walkers, DRAM channel, core pipeline) is never
-// part of a checkpoint; a restored machine starts it fresh, exactly as
-// a machine that ran the fast-forward in place would.
+// the architectural register state plus a frozen instance over a
+// copy-on-write clone of the memory, and — when the fast-forward
+// functionally warmed — deep snapshots of the cache-hierarchy and
+// branch-predictor state. One checkpoint fans out to many cells: a
+// machine that writes memory restores over a clone of the frozen image,
+// so sibling machines mutate memory independently. Timing state (MSHRs,
+// walkers, DRAM channel, core pipeline) is never part of a checkpoint; a
+// restored machine starts it fresh, exactly as a machine that ran the
+// fast-forward in place would.
 type Checkpoint struct {
-	Workload string
-
-	prog  *isa.Program
-	check func(*mem.Memory) error
-	mem   *mem.Memory // frozen COW image at the capture point
-	arch  emu.ArchState
-	hier  *cache.HierarchyState // nil unless warmed
-	bp    *bpred.Predictor      // nil unless warmed
+	inst *workloads.Instance // frozen: memory is the COW image at the capture point
+	arch emu.ArchState
+	hier *cache.HierarchyState // nil unless warmed
+	bp   *bpred.Predictor      // nil unless warmed
 }
 
 // Instrs returns the architectural instruction count at capture.
@@ -36,32 +31,11 @@ func (ck *Checkpoint) Instrs() uint64 { return ck.arch.Seq }
 
 // Bytes estimates the checkpoint's retained size for cache budgeting.
 func (ck *Checkpoint) Bytes() int64 {
-	n := int64(ck.mem.Pages()) * mem.PageSize
+	n := int64(ck.inst.Mem.Pages()) * mem.PageSize
 	if ck.hier != nil {
 		n += ck.hier.Bytes()
 	}
 	return n
-}
-
-// NewMachineFrom builds a machine of the given configuration resumed
-// from a checkpoint: the instance is reconstructed over a fresh COW
-// clone of the checkpointed memory, then the architectural (and any
-// warmed) state is restored. The configuration's warm-relevant geometry
-// must match the one the checkpoint was produced with (the scheduler
-// keys checkpoints by it).
-func NewMachineFrom(cfg Config, ck *Checkpoint) (Machine, error) {
-	inst := &workloads.Instance{
-		Name:  ck.Workload,
-		Prog:  ck.prog,
-		Mem:   ck.mem.Clone(),
-		Check: ck.check,
-	}
-	m, err := NewMachine(cfg, inst)
-	if err != nil {
-		return nil, err
-	}
-	m.Restore(ck)
-	return m, nil
 }
 
 // hierWarmer adapts a hierarchy plus branch predictor to emu.Warmer,
@@ -78,75 +52,30 @@ func (w *hierWarmer) WarmLoad(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, f
 func (w *hierWarmer) WarmStore(pc int, addr uint64) { w.h.WarmAccess(pc, addr, true) }
 func (w *hierWarmer) WarmBranch(pc int, taken bool) { w.bp.Predict(pc, taken) }
 
-func (m *inOrderMachine) FastForward(n uint64, warm bool) bool {
-	if rs, ok := m.src.(*stream.ReplaySource); ok {
-		// A replay-fed machine fast-forwards by discarding records: the
-		// emulator is not in the loop (warming is likewise unavailable —
-		// the scheduler only attaches replays past the fast-forward point).
-		return rs.Skip(n) == n
-	}
+func (m *machine) FastForward(n uint64, warm bool) bool {
 	if !warm {
 		return m.cpu.FastForward(n) == n
 	}
 	m.warmed = true
-	return m.cpu.FastForwardWarm(n, &hierWarmer{h: m.h, bp: m.core.BP}) == n
+	return m.cpu.FastForwardWarm(n, &hierWarmer{h: m.h, bp: m.bp}) == n
 }
 
-func (m *inOrderMachine) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{
-		Workload: m.inst.Name,
-		prog:     m.inst.Prog,
-		check:    m.inst.Check,
-		mem:      m.cpu.Mem.Clone(),
-		arch:     m.cpu.SaveArch(),
-	}
+func (m *machine) Checkpoint() *Checkpoint {
+	inst := *m.inst
+	inst.Mem = m.cpu.Mem.Clone()
+	ck := &Checkpoint{inst: &inst, arch: m.cpu.SaveArch()}
 	if m.warmed {
 		ck.hier = m.h.WarmState()
-		ck.bp = m.core.BP.Clone()
+		ck.bp = m.bp.Clone()
 	}
 	return ck
 }
 
-func (m *inOrderMachine) Restore(ck *Checkpoint) {
+func (m *machine) Restore(ck *Checkpoint) {
 	m.cpu.LoadArch(ck.arch)
 	if ck.hier != nil {
 		m.h.SetWarmState(ck.hier)
-		m.core.BP.CopyFrom(ck.bp)
-		m.warmed = true
-	}
-}
-
-func (m *oooMachine) FastForward(n uint64, warm bool) bool {
-	if rs, ok := m.src.(*stream.ReplaySource); ok {
-		return rs.Skip(n) == n
-	}
-	if !warm {
-		return m.cpu.FastForward(n) == n
-	}
-	m.warmed = true
-	return m.cpu.FastForwardWarm(n, &hierWarmer{h: m.h, bp: m.core.BP}) == n
-}
-
-func (m *oooMachine) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{
-		Workload: m.inst.Name,
-		prog:     m.inst.Prog,
-		check:    m.inst.Check,
-		mem:      m.cpu.Mem.Clone(),
-		arch:     m.cpu.SaveArch(),
-	}
-	if m.warmed {
-		ck.hier = m.h.WarmState()
-		ck.bp = m.core.BP.Clone()
-	}
-	return ck
-}
-
-func (m *oooMachine) Restore(ck *Checkpoint) {
-	m.cpu.LoadArch(ck.arch)
-	if ck.hier != nil {
-		m.h.SetWarmState(ck.hier)
-		m.core.BP.CopyFrom(ck.bp)
+		m.bp.CopyFrom(ck.bp)
 		m.warmed = true
 	}
 }

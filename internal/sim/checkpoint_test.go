@@ -9,6 +9,17 @@ import (
 	"repro/internal/workloads"
 )
 
+// restored builds cfg's machine over a private clone of ck's frozen
+// image and restores ck into it, the way a live grid cell starts.
+func restored(cfg Config, ck *Checkpoint) Machine {
+	m, err := NewMachine(cfg, cloneInstance(ck.inst))
+	if err != nil {
+		panic(err)
+	}
+	m.Restore(ck)
+	return m
+}
+
 // TestCheckpointRoundTripBitIdentical: interrupting a run at the
 // fast-forward boundary — capture a checkpoint, restore it into a fresh
 // machine — must reproduce the uninterrupted run's Result bit for bit,
@@ -37,12 +48,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 		if !prod.FastForward(p.FastForward, p.Warm) {
 			t.Fatal("fast-forward hit program end")
 		}
-		ck := prod.Checkpoint()
-		m2, err := NewMachineFrom(cfg, ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := SimulateFrom(m2, p)
+		got := SimulateFrom(restored(cfg, prod.Checkpoint()), p)
 
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("regions=%d: restored run differs from uninterrupted run:\nwant %+v\ngot  %+v",
@@ -73,33 +79,20 @@ func TestCheckpointSiblingsIndependent(t *testing.T) {
 	}
 	ck := prod.Checkpoint()
 
-	refM, err := NewMachineFrom(cfg, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := SimulateFrom(refM, p)
+	ref := SimulateFrom(restored(cfg, ck), p)
 
 	const siblings = 3
 	var wg sync.WaitGroup
 	results := make([]Result, siblings)
-	errs := make([]error, siblings)
 	for i := 0; i < siblings; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := NewMachineFrom(cfg, ck)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = SimulateFrom(m, p)
+			results[i] = SimulateFrom(restored(cfg, ck), p)
 		}(i)
 	}
 	wg.Wait()
 	for i := 0; i < siblings; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
 		if !reflect.DeepEqual(ref, results[i]) {
 			t.Errorf("sibling %d diverged from serial reference", i)
 		}

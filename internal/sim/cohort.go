@@ -1,27 +1,25 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/stream"
-	"repro/internal/workloads"
 )
 
 // Timing cohorts: the one execution path of a single-window cell. Every
 // cell whose window is one warmup+measure stretch (Params.Regions <= 1)
 // is recorded once per workload window (cachedRecording) and stepped as
-// a member of a cohort: sibling cells of the same window — any
-// registered core kind, up to MaxCohortWidth of them — consume shared
-// decoded SoA chunks in lockstep, one chunk at a time, so the batch plus
-// the members' hot state stay cache-resident. A lone cell is a cohort of
-// width one. Members that read state own private companions advanced
-// row-by-row ahead of issue — IMP a memory clone, SVR a full
-// stream.ArchView — so the shared batch stays immutable. Results are
-// bit-identical to the live emulator (sim.Run, the test oracle): the
-// batch columns are filled by ReplaySource.Next itself and each
-// member's per-instruction issue order is unchanged.
+// a member of a cohort: sibling cells of the same window — any core
+// kind, up to MaxCohortWidth of them — consume shared decoded SoA chunks
+// in lockstep, one chunk at a time, so the batch plus the members' hot
+// state stay cache-resident. A lone cell is a cohort of width one.
+// Members whose companion reads architectural state (IMP, SVR) own a
+// private stream.ArchView advanced row-by-row ahead of issue, so the
+// shared batch stays immutable. Results are bit-identical to the live
+// emulator (sim.Run, the test oracle): the batch columns are filled by
+// ReplaySource.Next itself and each member's per-instruction issue
+// order is unchanged.
 //
 // Multi-region cells are the exception: a recording cannot span the
 // fast-forward gaps between their detailed regions, so they stay
@@ -192,11 +190,7 @@ func (e *Engine) runCohort(reqs []CellRequest, claims []int, results []Result, o
 		req := reqs[ci]
 		outs[ci].Replayed = true
 		outs[ci].StreamFromStore = so.FromStore() || k > 0
-		m, err := e.newCohortMachine(req.Cfg, spec, p, rec, &outs[ci], tr, pc)
-		if err != nil {
-			panic(err)
-		}
-		machines[k] = m
+		machines[k] = e.startMachine(req, rec, &outs[ci], tr, pc)
 	}
 	tr.phase(-1, +1)
 
@@ -308,46 +302,4 @@ func (e *Engine) runCohort(reqs []CellRequest, claims []int, results []Result, o
 	}
 	tr.CohortDone(len(claims))
 	e.addCohort(len(claims))
-}
-
-// newCohortMachine builds one cohort member positioned at the recording
-// start. Stream-pure members share the frozen master/checkpoint memory
-// (nothing in the member reads or writes it); members that read memory
-// or architectural state (IMP, SVR) get a private clone wrapped in a
-// stream.ArchView that StepBatch advances row by row.
-func (e *Engine) newCohortMachine(cfg Config, spec workloads.Spec, p Params, rec *stream.Recording, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, error) {
-	wantView := StreamNeedsOf(cfg.Core) != StreamPure
-	var inst *workloads.Instance
-	var ck *Checkpoint
-	if p.FastForward > 0 {
-		var co artifact.Outcome
-		ck, co = e.cachedCheckpoint(spec, cfg, p, tr, pc)
-		out.CkptFromStore = co.FromStore()
-		inst = &workloads.Instance{
-			Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check,
-		}
-		if wantView {
-			inst.Mem = ck.mem.Clone()
-		}
-	} else {
-		inst = e.cachedBuild(spec, p.Scale, pc)
-		if wantView {
-			inst = cloneInstance(inst)
-		}
-	}
-	m, err := NewMachine(cfg, inst)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		m.Restore(ck)
-	}
-	if wantView {
-		av, ok := m.(interface{ AttachArchView(*stream.ArchView) })
-		if !ok {
-			return nil, fmt.Errorf("sim: machine kind %d needs an arch view but cannot attach one", cfg.Core)
-		}
-		av.AttachArchView(stream.NewArchView(rec, inst.Mem))
-	}
-	return m, nil
 }

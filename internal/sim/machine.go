@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/cpu/ooo"
@@ -53,68 +54,33 @@ type Machine interface {
 	FastForward(n uint64, warm bool) bool
 	// Checkpoint captures the machine's resumable state (architectural
 	// registers plus a COW memory clone, and warmed microarchitectural
-	// snapshots after a warmed fast-forward) for NewMachineFrom. Only
-	// meaningful before any timed stepping: timing state (MSHRs,
-	// walkers, DRAM, core pipeline) is not captured.
+	// snapshots after a warmed fast-forward). Only meaningful before any
+	// timed stepping: timing state (MSHRs, walkers, DRAM, core pipeline)
+	// is not captured.
 	Checkpoint() *Checkpoint
 	// Restore adopts ck's architectural and warmed state. The machine
-	// must be freshly built over a clone of the checkpointed memory;
-	// NewMachineFrom does both.
+	// must be freshly built over the checkpoint's frozen image (shared
+	// when it never writes memory) or a clone of it; startMachine does
+	// both for grid cells.
 	Restore(ck *Checkpoint)
 	// StepBatch issues rows [lo, hi) of a shared decoded batch instead
 	// of stepping the machine's own emulator — the cohort driver's
 	// lockstep entry point. Kinds whose companion reads memory or
 	// architectural state must have a stream.ArchView attached first
-	// (newCohortMachine does it).
+	// (startMachine does it).
 	StepBatch(b *stream.DecodedBatch, lo, hi int)
 }
 
-// StreamNeeds classifies what a core kind requires of its instruction
-// stream, which decides what private state a cohort member needs beside
-// the shared decoded batches.
-type StreamNeeds int
-
-// Stream requirement classes.
-const (
-	// StreamPure consumers read DynInstr records and nothing else
-	// (in-order and out-of-order cores): replay needs no memory image.
-	StreamPure StreamNeeds = iota
-	// StreamMemory consumers dereference data memory ahead of the stream
-	// (the IMP prefetcher chasing indirections): replay needs a private
-	// memory image kept in lockstep by applying decoded stores.
-	StreamMemory
-	// StreamArch consumers read architectural registers, flags and
-	// memory at the retire point (SVR's value scavenging): replay needs
-	// the full stream.ArchState view — the decoder's tracked register
-	// file plus a private lockstep memory image.
-	StreamArch
-)
-
-// MachineFactory builds a machine of one kind over a pre-built hierarchy.
-type MachineFactory func(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine
-
-type machineEntry struct {
-	factory MachineFactory
-	needs   StreamNeeds
-}
-
-// machineFactories maps core kinds to constructors plus their stream
-// requirements. New organizations register here instead of growing a
-// switch in the runner.
-var machineFactories = map[CoreKind]machineEntry{}
-
-// RegisterMachine installs the factory for a core kind and declares what
-// the kind requires of its instruction stream.
-func RegisterMachine(kind CoreKind, f MachineFactory, needs StreamNeeds) {
-	machineFactories[kind] = machineEntry{factory: f, needs: needs}
-}
-
-// StreamNeedsOf reports the stream requirement of a registered core
-// kind.
-func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].needs }
+// needsArchView reports whether a kind's companion reads architectural
+// state beside the instruction stream — SVR scavenges registers, flags
+// and memory at the retire point, IMP chases indirections through data
+// memory — so a cohort member of the kind needs a private
+// stream.ArchView kept in lockstep with the shared decoded batches. The
+// bare in-order and out-of-order cores read the DynInstr records alone.
+func (k CoreKind) needsArchView() bool { return k == IMP || k == SVR }
 
 // CheckConfig reports why cfg cannot be simulated faithfully: an
-// unregistered core kind, a cache or TLB geometry the constructors
+// unknown core kind, a cache or TLB geometry the constructors
 // reject, a bad DRAM channel, or a machine parameter outside the range
 // its `check:"lo,hi"` struct tag declares — zero where the model
 // divides or indexes by it, a negative latency, which would simulate
@@ -124,7 +90,7 @@ func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].ne
 // a bad one is refused at the door instead of crashing a worker or
 // returning a wrong Result.
 func CheckConfig(cfg Config) error {
-	if _, err := factoryFor(cfg); err != nil {
+	if err := checkKind(cfg.Core); err != nil {
 		return err
 	}
 	h := cfg.Hier
@@ -161,6 +127,36 @@ func CheckConfig(cfg Config) error {
 	return nil
 }
 
+// maxIntervals caps the rows one sampled window may keep (CheckParams).
+const maxIntervals = 1 << 16
+
+// CheckParams reports why p cannot be simulated faithfully: a window,
+// region count or input size outside the range its `check:"lo,hi"` tag
+// declares, an input size that is not a power of two (the graph
+// generators round it up and the hash join refuses it), or interval
+// sampling finer than maxIntervals rows per window. Like CheckConfig it
+// guards the parameters of jobs from outside the process, so a bad one
+// is refused at the door instead of crashing a worker or returning a
+// wrong Result.
+func CheckParams(p Params) error {
+	for _, part := range []any{p, p.Scale} {
+		if err := checkFields(reflect.ValueOf(part)); err != nil {
+			return fmt.Errorf("sim: params: %w", err)
+		}
+	}
+	if n := p.Scale.GraphNodes; n&(n-1) != 0 {
+		return fmt.Errorf("sim: params: Scale.GraphNodes = %d is not a power of two", n)
+	}
+	if n := p.Scale.Elems; n&(n-1) != 0 {
+		return fmt.Errorf("sim: params: Scale.Elems = %d is not a power of two", n)
+	}
+	if p.SampleEvery > 0 && p.Measure/p.SampleEvery > maxIntervals {
+		return fmt.Errorf("sim: params: SampleEvery = %d splits %d measured instructions into more than %d intervals",
+			p.SampleEvery, p.Measure, maxIntervals)
+	}
+	return nil
+}
+
 // checkFields reports the first integer field of the struct v outside
 // the range of its check tag.
 func checkFields(v reflect.Value) error {
@@ -189,40 +185,57 @@ func checkFields(v reflect.Value) error {
 	return nil
 }
 
-func init() {
-	RegisterMachine(InO, newInOrderMachine, StreamPure)
-	RegisterMachine(IMP, newInOrderMachine, StreamMemory)
-	RegisterMachine(SVR, newInOrderMachine, StreamArch)
-	RegisterMachine(OoO, newOoOMachine, StreamPure)
+// checkKind refuses a core kind outside the four organizations the
+// paper compares.
+func checkKind(k CoreKind) error {
+	switch k {
+	case InO, IMP, OoO, SVR:
+		return nil
+	}
+	return fmt.Errorf("sim: unknown core kind %d", k)
 }
 
 // NewMachine builds the configured machine with a private memory
 // hierarchy over the given instance. The instance's memory is mutated by
 // the run; callers reusing an instance must Clone it first.
 func NewMachine(cfg Config, inst *workloads.Instance) (Machine, error) {
-	f, err := factoryFor(cfg)
-	if err != nil {
+	if err := checkKind(cfg.Core); err != nil {
 		return nil, err
 	}
-	return f(cfg, inst, cache.NewHierarchy(cfg.Hier)), nil
+	return build(cfg, inst, cache.NewHierarchy(cfg.Hier)), nil
 }
 
 // NewMachineShared builds the configured machine with a private cache
 // hierarchy on a shared DRAM channel (the §VI-E multi-core setup).
 func NewMachineShared(cfg Config, inst *workloads.Instance, ch *dram.Channel) (Machine, error) {
-	f, err := factoryFor(cfg)
-	if err != nil {
+	if err := checkKind(cfg.Core); err != nil {
 		return nil, err
 	}
-	return f(cfg, inst, cache.NewHierarchyShared(cfg.Hier, ch)), nil
+	return build(cfg, inst, cache.NewHierarchyShared(cfg.Hier, ch)), nil
 }
 
-func factoryFor(cfg Config) (MachineFactory, error) {
-	e, ok := machineFactories[cfg.Core]
-	if !ok {
-		return nil, fmt.Errorf("sim: no machine registered for core kind %d", cfg.Core)
+// build constructs a machine of a kind checkKind accepted over a
+// pre-built hierarchy: the out-of-order core, or the in-order core bare
+// or with the IMP prefetcher or the SVR engine as its companion.
+func build(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine {
+	cpu := emu.New(inst.Prog, inst.Mem)
+	base := machine{cfg: cfg, inst: inst, h: h, cpu: cpu, src: stream.NewLive(cpu)}
+	if cfg.Core == OoO {
+		core := ooo.New(cfg.OoO, h)
+		base.bp = core.BP
+		return &oooMachine{machine: base, core: core}
 	}
-	return e.factory, nil
+	core := inorder.New(cfg.InO, h)
+	base.bp = core.BP
+	m := &inOrderMachine{machine: base, core: core}
+	switch cfg.Core {
+	case IMP:
+		m.core.Companion = imp.New(cfg.IMP, h, inst.Mem)
+	case SVR:
+		m.eng = svr.New(cfg.SVR, h, cpu)
+		m.core.Companion = m.eng
+	}
+	return m
 }
 
 // Simulate drives a machine through the standard warmup → reset →
@@ -258,37 +271,43 @@ func simulateWindow(m Machine, p Params) Result {
 	return m.Collect()
 }
 
-// inOrderMachine is the in-order family: the bare baseline core, and the
-// same core with the IMP prefetcher or the SVR engine as its companion.
-type inOrderMachine struct {
+// machine is the state and lifecycle every kind shares: the instance it
+// runs, the cache hierarchy whose registry holds every counter, the
+// architectural emulator feeding the core, and the core's branch
+// predictor. Fast-forward, checkpoint and restore (checkpoint.go), the
+// stats reset and the kind-independent half of Collect live here once.
+type machine struct {
 	cfg    Config
 	inst   *workloads.Instance
 	h      *cache.Hierarchy
 	cpu    *emu.CPU
 	src    stream.InstrSource // the core's live instruction feed (Step)
-	core   *inorder.Core
-	eng    *svr.Engine      // non-nil only for SVR
-	view   *stream.ArchView // cohort-member arch view advanced during StepBatch, else nil
-	warmed bool             // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
+	bp     *bpred.Predictor   // the core's predictor, trained by a warmed fast-forward
+	warmed bool               // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
 }
 
-func newInOrderMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine {
-	m := &inOrderMachine{
-		cfg:  cfg,
-		inst: inst,
-		h:    h,
-		cpu:  emu.New(inst.Prog, inst.Mem),
-		core: inorder.New(cfg.InO, h),
-	}
-	m.src = stream.NewLive(m.cpu)
-	switch cfg.Core {
-	case IMP:
-		m.core.Companion = imp.New(cfg.IMP, h, inst.Mem)
-	case SVR:
-		m.eng = svr.New(cfg.SVR, h, m.cpu)
-		m.core.Companion = m.eng
-	}
-	return m
+func (m *machine) Registry() *metrics.Registry { return m.h.Reg }
+func (m *machine) ResetStats()                 { m.h.Reg.Reset() }
+
+// collect assembles the Result fields every kind reports from the
+// core's window totals; act names the core's energy class and any
+// kind-specific activity.
+func (m *machine) collect(instrs uint64, cycles int64, stack stats.CPIStack, act energy.Activity) Result {
+	res := Result{Workload: m.inst.Name, Label: m.cfg.Label, Metrics: m.h.Reg.Snapshot()}
+	res.fillCommon(instrs, cycles, stack, m.h)
+	act.Cycles, act.Instrs = cycles, instrs
+	act.L1Accesses, act.L2Accesses, act.DRAMLines = m.h.L1D.Accesses, m.h.L2.Accesses, m.h.DRAM.Lines
+	res.Energy = energy.Estimate(energy.DefaultParams(), act)
+	return res
+}
+
+// inOrderMachine is the in-order family: the bare baseline core, and the
+// same core with the IMP prefetcher or the SVR engine as its companion.
+type inOrderMachine struct {
+	machine
+	core *inorder.Core
+	eng  *svr.Engine      // non-nil only for SVR
+	view *stream.ArchView // cohort-member arch view advanced during StepBatch, else nil
 }
 
 func (m *inOrderMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
@@ -305,62 +324,36 @@ func (m *inOrderMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) {
 	m.core.RunBatch(b, lo, hi)
 }
 
-// AttachArchView installs the member's private architectural view for
+// attachArchView installs the member's private architectural view for
 // cohort batch stepping and repoints the companion engine at it. The
 // view's memory image must be the same one any companion reads (the
 // member's private instance clone).
-func (m *inOrderMachine) AttachArchView(v *stream.ArchView) {
+func (m *inOrderMachine) attachArchView(v *stream.ArchView) {
 	m.view = v
 	if m.eng != nil {
 		m.eng.Arch = v
 	}
 }
 
-func (m *inOrderMachine) Instrs() uint64 { return m.core.Instrs }
-func (m *inOrderMachine) Now() int64     { return m.core.Now() }
-
-func (m *inOrderMachine) Registry() *metrics.Registry { return m.h.Reg }
-func (m *inOrderMachine) ResetStats()                 { m.h.Reg.Reset() }
-func (m *inOrderMachine) Stack() stats.CPIStack       { return m.core.Stack }
+func (m *inOrderMachine) Instrs() uint64        { return m.core.Instrs }
+func (m *inOrderMachine) Now() int64            { return m.core.Now() }
+func (m *inOrderMachine) Stack() stats.CPIStack { return m.core.Stack }
 
 func (m *inOrderMachine) Collect() Result {
-	res := Result{Workload: m.inst.Name, Label: m.cfg.Label, Metrics: m.h.Reg.Snapshot()}
-	res.fillCommon(m.core.Instrs, m.core.Cycles(), m.core.NormalizedStack(), m.h)
-	res.ExtraSlots = m.core.ExtraSlots
-	var scalars int64
+	var sv svr.Stats
 	if m.eng != nil {
-		res.SVRStats = m.eng.Stats
-		scalars = m.eng.Stats.Scalars
+		sv = m.eng.Stats
 	}
-	res.Energy = energy.Estimate(energy.DefaultParams(), energy.Activity{
-		Core: energy.InOrder, Cycles: m.core.Cycles(), Instrs: m.core.Instrs,
-		SVRScalars: scalars,
-		L1Accesses: m.h.L1D.Accesses, L2Accesses: m.h.L2.Accesses, DRAMLines: m.h.DRAM.Lines,
-	})
+	res := m.collect(m.core.Instrs, m.core.Cycles(), m.core.NormalizedStack(),
+		energy.Activity{Core: energy.InOrder, SVRScalars: sv.Scalars})
+	res.ExtraSlots, res.SVRStats = m.core.ExtraSlots, sv
 	return res
 }
 
 // oooMachine is the out-of-order comparison core.
 type oooMachine struct {
-	cfg    Config
-	inst   *workloads.Instance
-	h      *cache.Hierarchy
-	cpu    *emu.CPU
-	src    stream.InstrSource // the core's live instruction feed (Step)
-	core   *ooo.Core
-	warmed bool // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
-}
-
-func newOoOMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine {
-	m := &oooMachine{
-		cfg:  cfg,
-		inst: inst,
-		h:    h,
-		cpu:  emu.New(inst.Prog, inst.Mem),
-		core: ooo.New(cfg.OoO, h),
-	}
-	m.src = stream.NewLive(m.cpu)
-	return m
+	machine
+	core *ooo.Core
 }
 
 func (m *oooMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
@@ -369,19 +362,10 @@ func (m *oooMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
 // in-order machine's StepBatch).
 func (m *oooMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) { m.core.RunBatch(b, lo, hi) }
 
-func (m *oooMachine) Instrs() uint64 { return m.core.Instrs }
-func (m *oooMachine) Now() int64     { return m.core.Now() }
-
-func (m *oooMachine) Registry() *metrics.Registry { return m.h.Reg }
-func (m *oooMachine) ResetStats()                 { m.h.Reg.Reset() }
-func (m *oooMachine) Stack() stats.CPIStack       { return m.core.Stack }
+func (m *oooMachine) Instrs() uint64        { return m.core.Instrs }
+func (m *oooMachine) Now() int64            { return m.core.Now() }
+func (m *oooMachine) Stack() stats.CPIStack { return m.core.Stack }
 
 func (m *oooMachine) Collect() Result {
-	res := Result{Workload: m.inst.Name, Label: m.cfg.Label, Metrics: m.h.Reg.Snapshot()}
-	res.fillCommon(m.core.Instrs, m.core.Cycles(), m.core.NormalizedStack(), m.h)
-	res.Energy = energy.Estimate(energy.DefaultParams(), energy.Activity{
-		Core: energy.OutOfOrder, Cycles: m.core.Cycles(), Instrs: m.core.Instrs,
-		L1Accesses: m.h.L1D.Accesses, L2Accesses: m.h.L2.Accesses, DRAMLines: m.h.DRAM.Lines,
-	})
-	return res
+	return m.collect(m.core.Instrs, m.core.Cycles(), m.core.NormalizedStack(), energy.Activity{Core: energy.OutOfOrder})
 }

@@ -31,7 +31,7 @@ type mcCore struct {
 
 // runCluster simulates k cores, each running its own workload instance,
 // until every core has executed measure instructions. It returns the
-// per-core IPCs. Machines come from the same factory registry as the
+// per-core IPCs. Machines come from the same constructor as the
 // single-core experiments; only the DRAM channel is shared.
 func runCluster(specs []workloads.Spec, k int, p Params, useSVR bool) []float64 {
 	cfg := SVRConfig(16)

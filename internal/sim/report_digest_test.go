@@ -47,10 +47,13 @@ func TestReportDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests were generated on amd64; %s may fuse multiply-adds and change float bits", runtime.GOARCH)
 	}
-	// Every machine an experiment sweeps must also pass the check served
-	// jobs go through.
+	// Every machine and window an experiment sweeps must also pass the
+	// checks served jobs go through.
 	eng := NewEngine(nil)
 	run := func(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
+		if err := CheckParams(p); err != nil {
+			t.Error(err)
+		}
 		for _, cfg := range cfgs {
 			if err := CheckConfig(cfg); err != nil {
 				t.Error(err)

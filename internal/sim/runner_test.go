@@ -202,7 +202,40 @@ func TestNewMachineUnknownKind(t *testing.T) {
 	spec := mustSpec(t, "HJ2")
 	inst := spec.Build(workloads.TinyScale())
 	if _, err := NewMachine(Config{Core: CoreKind(99)}, inst); err == nil {
-		t.Fatal("expected error for unregistered core kind")
+		t.Fatal("expected error for unknown core kind")
+	}
+}
+
+// TestCheckParams: every preset window passes the check served jobs go
+// through; windows and input sizes the workloads cannot honor do not.
+func TestCheckParams(t *testing.T) {
+	tiny := QuickParams()
+	tiny.Scale = workloads.TinyScale()
+	for name, p := range map[string]Params{"quick": QuickParams(), "default": DefaultParams(),
+		"paper": PaperParams(), "tiny": tiny} {
+		if err := CheckParams(p); err != nil {
+			t.Errorf("%s preset refused: %v", name, err)
+		}
+	}
+	with := func(f func(*Params)) Params {
+		p := QuickParams()
+		f(&p)
+		return p
+	}
+	for name, p := range map[string]Params{
+		"zero scale":         with(func(p *Params) { p.Scale = workloads.Scale{} }),
+		"negative nodes":     with(func(p *Params) { p.Scale.GraphNodes = -5 }),
+		"1000 elems":         with(func(p *Params) { p.Scale.Elems = 1000 }),
+		"huge graph":         with(func(p *Params) { p.Scale.GraphNodes = 1 << 30 }),
+		"no measure":         with(func(p *Params) { p.Measure = 0 }),
+		"unbounded window":   with(func(p *Params) { p.Measure = 1 << 40 }),
+		"unbounded warmup":   with(func(p *Params) { p.Warmup = 1 << 40 }),
+		"1000 regions":       with(func(p *Params) { p.Regions = 1000 }),
+		"per-instr sampling": with(func(p *Params) { p.SampleEvery = 1 }),
+	} {
+		if err := CheckParams(p); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

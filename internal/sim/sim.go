@@ -83,11 +83,14 @@ func SVRConfig(n int) Config {
 	return cfg
 }
 
-// Params controls a simulation window.
+// Params controls a simulation window. The check tags bound what a job
+// from outside the process may ask for (CheckParams): a recording
+// pre-sizes its buffer by the window, so an unbounded window is an
+// unbounded allocation.
 type Params struct {
 	Scale   workloads.Scale
-	Warmup  uint64 // instructions before statistics reset
-	Measure uint64 // measured instructions
+	Warmup  uint64 `check:"0,16777216"` // instructions before statistics reset
+	Measure uint64 `check:"1,16777216"` // measured instructions
 
 	// FastForward, when non-zero, functionally executes this many
 	// instructions (no DynInstr streaming, no timing models) before each
@@ -95,7 +98,7 @@ type Params struct {
 	// state after the first fast-forward as a shared checkpoint, so the
 	// fast-forward of a workload runs once and is cloned into every
 	// compatible config cell.
-	FastForward uint64
+	FastForward uint64 `check:"0,134217728"`
 	// Warm enables functional warming during fast-forward: cache, TLB,
 	// prefetch-tag and branch-predictor state is updated alongside the
 	// architectural execution at ~zero timing cost, letting the detailed
@@ -104,13 +107,13 @@ type Params struct {
 	// Regions, when above one, runs that many detailed warmup+measure
 	// windows stitched together by fast-forward gaps and aggregates
 	// them; Result.Regions carries the per-region spread.
-	Regions int
+	Regions int `check:"0,64"`
 
 	// SampleEvery, when non-zero, turns on interval sampling: the
 	// measurement window is chunked into SampleEvery-instruction
 	// intervals and each contributes one row to Result.Series. Sampling
 	// does not perturb the simulated timing.
-	SampleEvery uint64
+	SampleEvery uint64 `check:"0,16777216"`
 }
 
 // DefaultParams returns the standard evaluation window (a scaled-down
@@ -184,7 +187,7 @@ type Result struct {
 // and always executes — the memoized run cache only fronts an engine's
 // cell execution (ExecuteCohort), so callers that depend on real execution (e.g.
 // architectural self-checks on the mutated memory image) stay exact.
-// It panics if cfg names a core kind with no registered Machine.
+// It panics if cfg names an unknown core kind.
 func Run(spec workloads.Spec, cfg Config, p Params) Result {
 	m, err := NewMachine(cfg, spec.Build(p.Scale))
 	if err != nil {

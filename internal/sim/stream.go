@@ -32,14 +32,10 @@ func (e *Engine) cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *
 		// phase: cachedCheckpoint manages the building/checkpointing
 		// counters itself, so it must run while this worker still counts
 		// as "building".
-		var cpu *emu.CPU
-		if p.FastForward > 0 {
-			ck, _ := e.cachedCheckpoint(spec, cfg, p, tr, pc)
-			cpu = emu.New(ck.prog, ck.mem.Clone())
+		inst, ck, _ := e.windowStart(spec, cfg, p, tr, pc)
+		cpu := emu.New(inst.Prog, inst.Mem.Clone())
+		if ck != nil {
 			cpu.LoadArch(ck.arch)
-		} else {
-			inst := cloneInstance(e.cachedBuild(spec, p.Scale, pc))
-			cpu = emu.New(inst.Prog, inst.Mem)
 		}
 
 		tr.recBegin()

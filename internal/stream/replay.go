@@ -230,15 +230,3 @@ func (s *ReplaySource) Next(rec *emu.DynInstr) bool {
 	s.done++
 	return true
 }
-
-// Skip discards up to n records, returning how many were discarded.
-// Stores are still applied when a memory image is attached, so the image
-// stays consistent with the stream position.
-func (s *ReplaySource) Skip(n uint64) uint64 {
-	var rec emu.DynInstr
-	var done uint64
-	for done < n && s.Next(&rec) {
-		done++
-	}
-	return done
-}

@@ -24,9 +24,13 @@ import (
 
 // Scale controls working-set sizes. Working sets must exceed the 512 KiB
 // L2 for the memory-bound regime of the paper to hold.
+//
+// The check tags bound what a job from outside the process may ask for
+// (sim.CheckParams): 8 is the smallest power of two every kernel builds
+// at, the upper bounds twice BenchScale.
 type Scale struct {
-	GraphNodes int   // vertices per graph input
-	Elems      int   // element count for array-based kernels
+	GraphNodes int   `check:"8,1048576"` // vertices per graph input (a power of two)
+	Elems      int   `check:"8,8388608"` // element count for array-based kernels (a power of two)
 	Seed       int64 // generator seed
 }
 
